@@ -18,7 +18,7 @@ The library provides:
   churn, dynamic graphs, adversarial sources, heterogeneous clocks) every
   engine accepts through ``scenario=``;
 * :mod:`repro.experiments` — the experiment harness reproducing each claim
-  of the paper (see DESIGN.md for the experiment index).
+  of the paper (the experiment index is :mod:`repro.experiments.registry`).
 
 Quickstart::
 

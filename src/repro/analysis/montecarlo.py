@@ -583,7 +583,7 @@ def run_adaptive_trials(
     The stopping rule is ``1.96 * standard_error <= relative_precision * mean``
     (a ~95% confidence half-width below the requested relative precision), or
     ``max_trials`` trials, whichever comes first.  This is the "adaptive
-    trial allocation" ablation mentioned in DESIGN.md.  Each refinement block
+    trial allocation" ablation.  Each refinement block
     goes through :func:`run_trials` and therefore picks up the batched fast
     path under the same conditions (see the ``batch`` argument there).
     """

@@ -11,8 +11,7 @@ least ``1 − q``; ``T_{1/n}`` is the *high-probability rumor spreading time*
 that Theorem 1 is stated in terms of.  This module estimates ``T_q`` from
 Monte Carlo samples.
 
-Two estimators are provided (the estimator choice is one of the ablations
-listed in DESIGN.md):
+Two estimators are provided (the estimator choice is an ablation):
 
 * :func:`empirical_quantile` — the order-statistic estimator
   (the ``ceil((1 − q)·m)``-th smallest of ``m`` observations);

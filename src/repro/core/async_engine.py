@@ -45,8 +45,11 @@ import numpy as np
 from repro.core.result import ContactEvent, SpreadingResult
 from repro.errors import ProtocolError, ScenarioError, SimulationError
 from repro.graphs.base import Graph
+
+# After the graph layer: repro.graphs itself imports the flat adjacency.
+from repro.core.flatgraph import flat_adjacency
 from repro.randomness.rng import SeedLike, as_generator
-from repro.scenarios.base import Scenario, ScenarioLike, as_scenario
+from repro.scenarios.base import Scenario, ScenarioLike, absorbing_target, as_scenario
 
 __all__ = [
     "run_asynchronous",
@@ -122,8 +125,9 @@ def run_asynchronous(
             Under a scenario the trace records every attempted contact,
             including those suppressed by loss or churn.
         on_budget_exhausted: ``"error"`` raises :class:`SimulationError` when
-            the run stops before everyone is informed; ``"partial"`` returns
-            the incomplete result.
+            the run stops before everyone is informed — a budget ran out, or
+            the trial was absorbed (see below); ``"partial"`` returns the
+            incomplete result.
         scenario: optional adversity scenario (or spec string) from
             :mod:`repro.scenarios`.  Message loss (independent or bursty),
             node churn (random or targeted; state updates once per unit of
@@ -138,7 +142,13 @@ def run_asynchronous(
             stops a clock (a crashed vertex's clocks keep ticking; its
             exchanges are suppressed) and ``Delay`` reweights the per-clock
             rates (vertex ``v`` ticks at rate ``r_v``; pair ``(v, w)`` at
-            rate ``r_v / deg(v)``).
+            rate ``r_v / deg(v)``).  Under permanent crashes
+            (:attr:`~repro.scenarios.Scenario.can_absorb`) every view stops
+            after the first tick that leaves no uninformed up vertex
+            reachable from an informed up vertex
+            (:func:`~repro.scenarios.absorbing_target`), or before the first
+            tick if the source is already cut off; ``termination`` is then
+            ``"absorbed"``.
 
     Returns:
         A :class:`SpreadingResult` with continuous informing times; the
@@ -283,13 +293,19 @@ def _build_result(
     budget_description: str,
     total_contacts: Optional[int] = None,
     adversary_budget_spent: Optional[int] = None,
+    absorbed: bool = False,
 ) -> SpreadingResult:
     completed = all(math.isfinite(t) for t in informed_time)
     if not completed and on_budget_exhausted == "error":
         informed_count = sum(1 for t in informed_time if math.isfinite(t))
+        reason = (
+            f": absorbed after {steps} steps (no uninformed up vertex is reachable)"
+            if absorbed
+            else f" within {budget_description}"
+        )
         raise SimulationError(
             f"{protocol_name} on {graph.name} informed only {informed_count}/"
-            f"{graph.num_vertices} vertices within {budget_description}"
+            f"{graph.num_vertices} vertices{reason}"
         )
     return SpreadingResult(
         protocol=protocol_name,
@@ -306,6 +322,7 @@ def _build_result(
         total_contacts=steps if total_contacts is None else total_contacts,
         adversary_budget_spent=adversary_budget_spent,
         trace=tuple(trace) if record_trace else None,
+        termination="absorbed" if absorbed else None,
     )
 
 
@@ -474,13 +491,22 @@ def _run_global_view_scenario(
     pull_infections = 0
     trace: list[ContactEvent] = []
 
+    # The informed count at which no future contact can inform anyone: n
+    # unless crashes are permanent, then recomputed whenever the down set
+    # changes.
+    absorbing = scenario.can_absorb
+    flat = flat_adjacency(graph) if absorbing else None
+    target = n
+    if absorbing:
+        target = absorbing_target(flat.indptr, flat.indices, informed, up, crash_budget)
+
     now = 0.0
     steps = 0
     total_contacts = 0
     num_informed = 1
     batch_size = 4096
 
-    while num_informed < n and steps < step_budget and now <= time_budget:
+    while num_informed < target and steps < step_budget and now <= time_budget:
         remaining = step_budget - steps
         this_batch = min(batch_size, remaining)
         gaps = rng.exponential(scale, this_batch).tolist()
@@ -502,16 +528,25 @@ def _run_global_view_scenario(
                 if boundary > now:
                     break
                 if next_epoch <= next_resample:
+                    down_changed = False
                     if churn_updates:
                         # repro: allow[RNG002] -- epoch schedule is deterministic in time, not in drawn values; every engine fires the identical boundary interleave
-                        up = churn.step(up, rng.random(n))
+                        stepped = churn.step(up, rng.random(n))
+                        down_changed = np.count_nonzero(stepped) != np.count_nonzero(up)
+                        up = stepped
                     elif adaptive_churn:
                         # The adaptive adversary observes the informed set at
                         # the epoch boundary and crashes deterministically —
                         # no draw, so the RNG stream matches the oblivious
                         # engines'.
-                        crash_budget -= churn.crash_step(
+                        spent = churn.crash_step(
                             up, np.asarray(informed, dtype=bool), crash_order, crash_budget
+                        )
+                        crash_budget -= spent
+                        down_changed = spent > 0
+                    if absorbing and down_changed:
+                        target = absorbing_target(
+                            flat.indptr, flat.indices, informed, up, crash_budget
                         )
                     if burst is not None:
                         # repro: allow[RNG002] -- epoch schedule is deterministic in time, not in drawn values; every engine fires the identical boundary interleave
@@ -584,7 +619,7 @@ def _run_global_view_scenario(
                         kind=event_kind,
                     )
                 )
-            if num_informed == n:
+            if num_informed >= target:
                 break
 
     return _build_result(
@@ -610,6 +645,7 @@ def _run_global_view_scenario(
         )
         if adaptive_churn or adaptive_loss is not None
         else None,
+        absorbed=n > num_informed >= target,
     )
 
 
@@ -643,7 +679,7 @@ class _ClockScenarioState:
         "up", "churn_updates", "bad", "current_loss", "next_epoch",
         "next_resample", "current_graph", "total_contacts", "mode",
         "adaptive_loss", "adaptive_churn", "crash_order", "crash_budget",
-        "jam_budget",
+        "jam_budget", "flat", "target",
     )
 
     def __init__(
@@ -693,6 +729,18 @@ class _ClockScenarioState:
         )
         self.current_graph = graph
         self.total_contacts = 0
+        # The absorbing-state target (see refresh_target): n until the
+        # runner hands over the initial informed set.
+        absorbing = scenario is not None and scenario.can_absorb
+        self.flat = flat_adjacency(graph) if absorbing else None
+        self.target = graph.num_vertices
+
+    def refresh_target(self, informed: list) -> None:
+        """Recompute the absorbing target (only under permanent crashes)."""
+        if self.flat is not None:
+            self.target = absorbing_target(
+                self.flat.indptr, self.flat.indices, informed, self.up, self.crash_budget
+            )
 
     def budget_spent(self) -> Optional[int]:
         """Adaptive budget consumed so far (``None`` without adaptive parts)."""
@@ -713,7 +761,8 @@ class _ClockScenarioState:
         """Fire every epoch/resample boundary in (previous tick, now].
 
         Returns whether a resample occurred (the caller must refresh its
-        adjacency view).
+        adjacency view).  A churn step that grows the down set refreshes
+        :attr:`target`.
         """
         resampled = False
         while True:
@@ -721,17 +770,24 @@ class _ClockScenarioState:
             if boundary > now:
                 return resampled
             if self.next_epoch <= self.next_resample:
+                down_changed = False
                 if self.churn_updates:
-                    self.up = self.churn.step(self.up, rng.random(n))
+                    stepped = self.churn.step(self.up, rng.random(n))
+                    down_changed = np.count_nonzero(stepped) != np.count_nonzero(self.up)
+                    self.up = stepped
                 elif self.adaptive_churn:
                     # Deterministic crash on the observed informed set — no
                     # draw, so the RNG stream matches the oblivious engines'.
-                    self.crash_budget -= self.churn.crash_step(
+                    spent = self.churn.crash_step(
                         self.up,
                         np.asarray(informed, dtype=bool),
                         self.crash_order,
                         self.crash_budget,
                     )
+                    self.crash_budget -= spent
+                    down_changed = spent > 0
+                if down_changed:
+                    self.refresh_target(informed)
                 if self.burst is not None:
                     self.bad = bool(self.burst.step_state(self.bad, rng.random()))
                     self.current_loss = float(self.burst.loss_at(self.bad))
@@ -826,16 +882,22 @@ def _run_node_clock_view(
     heap: list[tuple[float, int]] = [(float(first_ticks[v]), v) for v in range(n)]
     heapq.heapify(heap)
 
+    target = n
+    if state is not None:
+        state.refresh_target(informed)
+        target = state.target
     steps = 0
     num_informed = 1
     now = 0.0
-    while num_informed < n and steps < step_budget:
+    while num_informed < target and steps < step_budget:
         now, caller = heapq.heappop(heap)
         if now > time_budget:
             break
-        if state is not None and state.cross_boundaries(now, n, rng, informed):
-            adjacency = state.current_graph.adjacency
-            degrees = state.current_graph.degrees
+        if state is not None:
+            if state.cross_boundaries(now, n, rng, informed):
+                adjacency = state.current_graph.adjacency
+                degrees = state.current_graph.degrees
+            target = state.target
         steps += 1
         degree = degrees[caller]
         callee = adjacency[caller][min(int(rng.random() * degree), degree - 1)]
@@ -881,6 +943,7 @@ def _run_node_clock_view(
         + (f" under {scenario.spec()}" if scenario is not None else ""),
         total_contacts=state.total_contacts if state is not None else None,
         adversary_budget_spent=state.budget_spent() if state is not None else None,
+        absorbed=n > num_informed >= target,
     )
 
 
@@ -935,15 +998,20 @@ def _run_edge_clock_view(
         heap.append((first, index))
     heapq.heapify(heap)
 
+    target = n
+    if state is not None:
+        state.refresh_target(informed)
+        target = state.target
     steps = 0
     num_informed = 1
     now = 0.0
-    while num_informed < n and steps < step_budget and heap:
+    while num_informed < target and steps < step_budget and heap:
         now, pair_index = heapq.heappop(heap)
         if now > time_budget:
             break
         if state is not None:
             state.cross_boundaries(now, n, rng, informed)  # dynamic rejected upstream
+            target = state.target
         steps += 1
         caller, callee = ordered_pairs[pair_index]
         if state is not None and state.suppresses(caller, callee, rng, informed):
@@ -989,4 +1057,5 @@ def _run_edge_clock_view(
         + (f" under {scenario.spec()}" if scenario is not None else ""),
         total_contacts=state.total_contacts if state is not None else None,
         adversary_budget_spent=state.budget_spent() if state is not None else None,
+        absorbed=n > num_informed >= target,
     )

@@ -80,6 +80,12 @@ chunk consumer — live in :mod:`repro.core.kernels` with interchangeable
 call with the ``backend=`` engine option (default ``"auto"``); see the
 package docstring for the per-kernel equivalence guarantees.
 
+**Absorbing stop.**  Every kernel retires a trial once its informed count
+reaches its target — ``n``, or under permanent crashes the
+:func:`~repro.scenarios.absorbing_target` recomputed whenever the trial's
+down set changes — on the same round or tick as the serial engines, and
+records why each trial stopped in ``BatchTimes.termination``.
+
 The output is a times-only :class:`~repro.core.result.BatchTimes` record:
 batched runs never build parents, infection kinds, or traces.  Callers that
 need those (coupling experiments, trace debugging) use the serial engines.
@@ -96,12 +102,18 @@ from repro.core.async_engine import ASYNC_MODES, ASYNC_VIEWS, default_max_steps
 from repro.core.aux_processes import AUX_VARIANTS, pull_probabilities
 from repro.core.flatgraph import FlatAdjacency, flat_adjacency
 from repro.core.kernels import AsyncState, resolve_backend
-from repro.core.result import BatchTimes
+from repro.core.result import TERMINATIONS, BatchTimes
 from repro.core.sync_engine import SYNC_MODES, default_max_rounds
 from repro.errors import ProtocolError, ScenarioError, SimulationError
 from repro.graphs.base import Graph
 from repro.randomness.rng import SeedLike, spawn_generators
-from repro.scenarios.base import DynamicGraph, Scenario, ScenarioLike, as_scenario
+from repro.scenarios.base import (
+    DynamicGraph,
+    Scenario,
+    ScenarioLike,
+    absorbing_target,
+    as_scenario,
+)
 from repro.telemetry.metrics import MetricsRegistry, current_metrics
 
 __all__ = [
@@ -276,18 +288,42 @@ def _trivial_batch(
     )
 
 
+def _termination(
+    completed: np.ndarray,
+    absorbed: np.ndarray,
+    metrics: Optional[MetricsRegistry],
+) -> np.ndarray:
+    """Per-trial stop reasons, counted as ``engine.termination.*`` metrics.
+
+    ``absorbed`` flags the trials a kernel retired short of completion
+    because their informed count reached the absorbing target; every other
+    incomplete trial ran out of budget.
+    """
+    termination = np.where(
+        completed, "completed", np.where(absorbed, "absorbed", "budget")
+    ).astype("<U9")
+    if metrics is not None:
+        for name in TERMINATIONS:
+            count = int(np.count_nonzero(termination == name))
+            if count:
+                metrics.count(f"engine.termination.{name}", count)
+    return termination
+
+
 def _raise_incomplete(
     protocol_name: str,
     graph: Graph,
     num_informed: np.ndarray,
-    completed: np.ndarray,
+    termination: np.ndarray,
     budget_description: str,
 ) -> None:
-    incomplete = np.flatnonzero(~completed)
+    incomplete = np.flatnonzero(termination != "completed")
     worst = int(num_informed[incomplete].min())
+    absorbed = int(np.count_nonzero(termination == "absorbed"))
     raise SimulationError(
         f"{protocol_name} on {graph.name} left {incomplete.size} of "
-        f"{completed.size} batched trials incomplete within {budget_description} "
+        f"{termination.size} batched trials incomplete within {budget_description}, "
+        f"{absorbed} of them absorbed (no uninformed up vertex reachable) "
         f"(worst trial informed {worst}/{graph.num_vertices} vertices)"
     )
 
@@ -374,6 +410,7 @@ class _ScenarioParts:
         "loss_prob", "burst", "churn", "dynamic", "delay", "lossy",
         "churn_updates", "adaptive_loss", "adaptive_churn", "crash_order",
         "crash_budget", "jam_budget", "initial_budget", "retired_budget",
+        "absorbing", "flat", "target",
     )
 
     def __init__(self, scenario: Optional[Scenario]) -> None:
@@ -392,13 +429,18 @@ class _ScenarioParts:
         self.adaptive_churn = self.churn is not None and self.churn.adaptive
         # Per-trial adversary budgets, filled in by init_adaptive once the
         # batch size is known.  Kernels that compact their live set must
-        # compact these too (compact_budgets); kernels that mask absolute
+        # compact these too (compact_rows); kernels that mask absolute
         # rows index them directly.
         self.crash_order = None
         self.crash_budget = None
         self.jam_budget = None
         self.initial_budget = 0
         self.retired_budget = 0
+        # Per-trial absorbing targets (see init_targets): a trial whose
+        # informed count reaches its target can never inform anyone else.
+        self.absorbing = scenario is not None and scenario.can_absorb
+        self.flat: Optional[FlatAdjacency] = None
+        self.target: Optional[np.ndarray] = None
 
     @property
     def needs_epochs(self) -> bool:
@@ -422,8 +464,44 @@ class _ScenarioParts:
             )
             self.initial_budget += batch * int(self.adaptive_loss.budget)
 
-    def compact_budgets(self, keep: np.ndarray) -> None:
-        """Drop finished trials' budget rows, banking their unspent budget."""
+    def init_targets(
+        self,
+        graph: Graph,
+        sources: np.ndarray,
+        informed: np.ndarray,
+        up: Optional[np.ndarray],
+    ) -> np.ndarray:
+        """The per-trial absorbing targets at trial start.
+
+        ``n`` for every trial unless the scenario can absorb; then
+        :func:`~repro.scenarios.absorbing_target` of each trial's start
+        state (computed once per distinct source — those states coincide).
+        Call after :meth:`init_adaptive`.
+        """
+        batch, n = informed.shape
+        self.target = np.full(batch, n, dtype=np.int64)
+        if self.absorbing:
+            self.flat = flat_adjacency(graph)
+            by_source: dict[int, int] = {}
+            for b, source in enumerate(sources.tolist()):
+                if source not in by_source:
+                    self.refresh_target(b, informed, up)
+                    by_source[source] = int(self.target[b])
+                self.target[b] = by_source[source]
+        return self.target
+
+    def refresh_target(self, b: int, informed: np.ndarray, up: np.ndarray) -> None:
+        """Recompute trial ``b``'s target after its down set changed."""
+        budget = int(self.crash_budget[b]) if self.crash_budget is not None else 0
+        self.target[b] = absorbing_target(
+            self.flat.indptr, self.flat.indices, informed[b], up[b], budget
+        )
+
+    def compact_rows(self, keep: np.ndarray) -> None:
+        """Drop finished trials' budget and target rows (banking their
+        unspent budget) — for kernels that compact their live set."""
+        if self.target is not None:
+            self.target = self.target[keep]
         if self.crash_budget is not None:
             kept_sum = int(self.crash_budget[keep].sum())
             self.retired_budget += int(self.crash_budget.sum()) - kept_sum
@@ -483,7 +561,9 @@ class _ScenarioParts:
         All three batch tick loops call this, so the equivalence-pinned
         contract cannot drift between them.  ``informed`` is the ``(B, n)``
         informed matrix an adaptive crash adversary observes (it draws
-        nothing, so the RNG stream matches the oblivious engines').
+        nothing, so the RNG stream matches the oblivious engines'); a crash
+        that grows the down set recomputes the trial's absorbing target
+        (:meth:`refresh_target`).
         """
         while True:
             epoch_at = next_epoch[b] if next_epoch is not None else np.inf
@@ -491,13 +571,20 @@ class _ScenarioParts:
             if min(epoch_at, resample_at) > t:
                 return
             if epoch_at <= resample_at:
+                down_changed = False
                 if self.churn_updates:
                     # repro: allow[RNG002] -- epoch schedule is deterministic in time, not in drawn values; this method IS the pinned boundary-interleave contract
-                    up[b] = self.churn.step(up[b], rng.random(n))
+                    stepped = self.churn.step(up[b], rng.random(n))
+                    down_changed = np.count_nonzero(stepped) != np.count_nonzero(up[b])
+                    up[b] = stepped
                 elif self.adaptive_churn:
-                    self.crash_budget[b] -= self.churn.crash_step(
+                    spent = self.churn.crash_step(
                         up[b], informed[b], self.crash_order, self.crash_budget[b]
                     )
+                    self.crash_budget[b] -= spent
+                    down_changed = spent > 0
+                if self.absorbing and down_changed:
+                    self.refresh_target(b, informed, up)
                 if bad is not None:
                     # repro: allow[RNG002] -- epoch schedule is deterministic in time, not in drawn values; this method IS the pinned boundary-interleave contract
                     bad[b] = self.burst.step_state(bad[b], rng.random())
@@ -628,6 +715,7 @@ def run_synchronous_batch(
     final_rounds = np.zeros(batch, dtype=np.int64)
     final_informed_count = np.full(batch, n, dtype=np.int64)
     completed = np.zeros(batch, dtype=bool)
+    absorbed = np.zeros(batch, dtype=bool)
     completion_time = np.full(batch, np.inf)
     # Contact-draw buffer (sliced to the live row count) plus the backend's
     # own round workspace (the numpy kernels preallocate their per-round
@@ -643,6 +731,10 @@ def run_synchronous_batch(
     # alongside the live set.
     up_live = parts.initial_up(graph, batch)
     parts.init_adaptive(graph, batch)
+    # Live rows retire once their informed count reaches the absorbing
+    # target (n unless crashes are permanent); parts.target is compacted
+    # with the live set.
+    parts.init_targets(graph, source_array, informed_live, up_live)
     churn_buf = np.empty((batch, n)) if parts.churn_updates else None
     loss_buf = np.empty((batch, n)) if parts.lossy else None
     bad_live = np.zeros(batch, dtype=bool) if burst is not None else None
@@ -653,7 +745,44 @@ def run_synchronous_batch(
     )
 
     round_index = 0
-    while live_ids.size and round_index < budget:
+    while True:
+        # Retire every trial whose informed count reached its target — at
+        # trial start (a source cut off by the crashes) and after each
+        # round; finished trials stop consuming randomness, like a serial
+        # run that returned.
+        finished = informed_live_count >= parts.target
+        if finished.any():
+            done = np.flatnonzero(finished)
+            done_ids = live_ids[done]
+            full = informed_live_count[done] == n
+            completed[done_ids[full]] = True
+            completion_time[done_ids[full]] = float(round_index)
+            absorbed[done_ids[~full]] = True
+            final_rounds[done_ids] = round_index
+            final_informed_count[done_ids] = informed_live_count[done]
+            if times_live is not None:
+                final_times[done_ids] = times_live[done]
+            keep = np.flatnonzero(~finished)
+            informed_live = informed_live[keep]
+            if times_live is not None:
+                times_live = times_live[keep]
+            informed_live_count = informed_live_count[keep]
+            if pooled_rng is None:
+                live_rngs = [live_rngs[i] for i in keep]
+            if up_live is not None:
+                up_live = up_live[keep]
+            if bad_live is not None:
+                bad_live = bad_live[keep]
+            parts.compact_rows(keep)
+            if current_graphs is not None:
+                current_graphs = [current_graphs[i] for i in keep]
+            if stacked is not None:
+                # The concatenated neighbor array keeps dead segments until
+                # the next rebuild; the kept start offsets stay valid.
+                stacked = (stacked[0][keep], stacked[1][keep], stacked[2])
+            live_ids = live_ids[keep]
+        if not live_ids.size or round_index >= budget:
+            break
         round_index += 1
         live = live_ids.size
         # Scenario randomness order per trial (matching the serial engine):
@@ -678,15 +807,27 @@ def run_synchronous_batch(
             else:
                 for i in range(live):
                     live_rngs[i].random(out=churn_draws[i])
-            up_live = churn.step(up_live, churn_draws)
+            stepped = churn.step(up_live, churn_draws)
+            if parts.absorbing:
+                # Permanent crashes only ever grow the down set, so a row's
+                # up count changes exactly when its down set does.
+                changed = np.count_nonzero(stepped, axis=1) != np.count_nonzero(
+                    up_live, axis=1
+                )
+                for i in np.flatnonzero(changed):
+                    parts.refresh_target(i, informed_live, stepped)
+            up_live = stepped
         elif parts.adaptive_churn:
             # Deterministic crash on each trial's round-start informed set —
             # no draw, so the per-trial RNG streams match the oblivious
             # kernel's exactly.
             for i in range(live):
-                parts.crash_budget[i] -= churn.crash_step(
+                spent = churn.crash_step(
                     up_live[i], informed_live[i], parts.crash_order, parts.crash_budget[i]
                 )
+                parts.crash_budget[i] -= spent
+                if spent:
+                    parts.refresh_target(i, informed_live, up_live)
         if burst is not None:
             if pooled_rng is not None:
                 burst_draws = pooled_rng.random(live)
@@ -767,34 +908,6 @@ def run_synchronous_batch(
                 informed_live, times_live, round_index,
                 push_allowed, pull_allowed, ws, informed_live_count,
             )
-        finished = informed_live_count == n
-        if finished.any():
-            done = np.flatnonzero(finished)
-            done_ids = live_ids[done]
-            completed[done_ids] = True
-            completion_time[done_ids] = float(round_index)
-            final_rounds[done_ids] = round_index
-            if times_live is not None:
-                final_times[done_ids] = times_live[done]
-            keep = np.flatnonzero(~finished)
-            informed_live = informed_live[keep]
-            if times_live is not None:
-                times_live = times_live[keep]
-            informed_live_count = informed_live_count[keep]
-            if pooled_rng is None:
-                live_rngs = [live_rngs[i] for i in keep]
-            if up_live is not None:
-                up_live = up_live[keep]
-            if bad_live is not None:
-                bad_live = bad_live[keep]
-            parts.compact_budgets(keep)
-            if current_graphs is not None:
-                current_graphs = [current_graphs[i] for i in keep]
-            if stacked is not None:
-                # The concatenated neighbor array keeps dead segments until
-                # the next rebuild; the kept start offsets stay valid.
-                stacked = (stacked[0][keep], stacked[1][keep], stacked[2])
-            live_ids = live_ids[keep]
 
     if live_ids.size:
         # Budget exhausted with trials still live: they executed every round.
@@ -803,9 +916,10 @@ def run_synchronous_batch(
         if times_live is not None:
             final_times[live_ids] = times_live
 
+    termination = _termination(completed, absorbed, metrics)
     if not completed.all() and on_budget_exhausted == "error":
         _raise_incomplete(
-            protocol_name, graph, final_informed_count, completed, f"{budget} rounds"
+            protocol_name, graph, final_informed_count, termination, f"{budget} rounds"
         )
     if metrics is not None:
         # Every informed vertex beyond the pre-informed sources received
@@ -825,6 +939,7 @@ def run_synchronous_batch(
         informed_time=final_times,
         rounds=final_rounds,
         steps=None,
+        termination=termination,
     )
 
 
@@ -943,6 +1058,7 @@ def run_asynchronous_batch(
     # neighbor uniforms, loss uniforms).
     up = parts.initial_up(graph, batch)
     parts.init_adaptive(graph, batch)
+    parts.init_targets(graph, source_array, informed, up)
     bad = np.zeros(batch, dtype=bool) if burst is not None else None
     next_epoch = np.ones(batch) if parts.needs_epochs else None
     next_resample = (
@@ -977,7 +1093,9 @@ def run_asynchronous_batch(
     chunk_base = np.zeros(batch, dtype=np.int64)
     overtime = np.zeros(batch, dtype=bool) if finite_time_budget else None
 
-    live = num_informed < n
+    # A trial stops once its informed count reaches its absorbing target
+    # (n unless crashes are permanent) — possibly before the first tick.
+    live = num_informed < parts.target
     if step_budget == 0:
         live[:] = False
     steps = np.zeros(batch, dtype=np.int64)
@@ -1014,12 +1132,15 @@ def run_asynchronous_batch(
         metrics.count("engine.clock_ticks", total_ticks)
         metrics.count("engine.messages_attempted", total_ticks)
     parts.record_budget_spent(metrics)
+    # Every kernel checks the target before any budget, so an incomplete
+    # trial at its target was retired as absorbed.
+    termination = _termination(completed, num_informed >= parts.target, metrics)
     if not completed.all() and on_budget_exhausted == "error":
         _raise_incomplete(
             protocol_name,
             graph,
             num_informed,
-            completed,
+            termination,
             f"{step_budget} steps / time {time_budget}",
         )
     return BatchTimes(
@@ -1032,6 +1153,7 @@ def run_asynchronous_batch(
         informed_time=times,
         rounds=None,
         steps=steps,
+        termination=termination,
     )
 
 
@@ -1237,8 +1359,9 @@ def run_auxiliary_batch(
         if times_live is not None:
             final_times[live_ids] = times_live
 
+    termination = _termination(completed, np.zeros(batch, dtype=bool), metrics)
     if not completed.all() and on_budget_exhausted == "error":
-        _raise_incomplete(variant, graph, final_informed_count, completed, f"{budget} rounds")
+        _raise_incomplete(variant, graph, final_informed_count, termination, f"{budget} rounds")
     if metrics is not None:
         metrics.count(
             "engine.messages_delivered", int(final_informed_count.sum()) - batch
@@ -1254,6 +1377,7 @@ def run_auxiliary_batch(
         informed_time=final_times,
         rounds=final_rounds,
         steps=None,
+        termination=termination,
     )
 
 
@@ -1350,7 +1474,8 @@ def _run_clock_view_pooled(
     completed = np.zeros(batch, dtype=bool)
     completion_time = np.full(batch, np.inf)
 
-    live = num_informed < n
+    parts.init_targets(graph, source_array, informed, up)
+    live = num_informed < parts.target
     while True:
         rows = np.flatnonzero(live)
         if rows.size == 0:
@@ -1408,12 +1533,13 @@ def _run_clock_view_pooled(
                 "engine.messages_delivered", int(num_informed.sum()) - informed_before
             )
 
+    termination = _termination(completed, num_informed >= parts.target, metrics)
     if not completed.all() and on_budget_exhausted == "error":
         _raise_incomplete(
             protocol_name,
             graph,
             num_informed,
-            completed,
+            termination,
             f"{step_budget} steps / time {time_budget}",
         )
     if metrics is not None:
@@ -1431,6 +1557,7 @@ def _run_clock_view_pooled(
         informed_time=times,
         rounds=None,
         steps=steps,
+        termination=termination,
     )
 
 
@@ -1652,7 +1779,11 @@ def run_clock_view_batch(
     )
     trial_graphs = _TrialGraphs(graph, batch) if dynamic is not None else None
 
-    live = num_informed < n
+    # Trials stop at their absorbing target (n unless crashes are
+    # permanent): before the first tick, or after the tick that reached it
+    # — by informing someone or by a crash at a boundary it crossed.
+    target = parts.init_targets(graph, source_array, informed, up)
+    live = num_informed < target
     while True:
         rows = np.flatnonzero(live)
         if rows.size == 0:
@@ -1677,6 +1808,7 @@ def run_clock_view_batch(
                 tick_time = tick_time[keep]
                 if rows.size == 0:
                     continue
+        stopped = None
         if next_epoch is not None or next_resample is not None:
             # Boundaries crossed in (previous event, now] fire before the
             # exchange, chronologically, epoch before resample on ties —
@@ -1695,6 +1827,11 @@ def run_clock_view_batch(
                         b, t, rng, n, up, bad, next_epoch, next_resample,
                         trial_graphs, informed,
                     )
+                if parts.absorbing:
+                    # A crash can leave a trial absorbed: it still executes
+                    # this tick, then stops.
+                    crossed = rows[crossing]
+                    stopped = crossed[num_informed[crossed] >= target[crossed]]
         steps[rows] += 1
         now[rows] = tick_time
         loss_u = np.empty(rows.size) if parts.lossy else None
@@ -1789,18 +1926,22 @@ def run_clock_view_batch(
             if times is not None:
                 times[active_rows, active_targets] = tick_time[active]
             num_informed[active_rows] += 1
-            done = active_rows[num_informed[active_rows] == n]
+            done = active_rows[num_informed[active_rows] >= target[active_rows]]
             if done.size:
-                completed[done] = True
-                completion_time[done] = now[done]
+                full = done[num_informed[done] == n]
+                completed[full] = True
+                completion_time[full] = now[full]
                 live[done] = False
+        if stopped is not None:
+            live[stopped] = False
 
+    termination = _termination(completed, num_informed >= target, metrics)
     if not completed.all() and on_budget_exhausted == "error":
         _raise_incomplete(
             protocol_name,
             graph,
             num_informed,
-            completed,
+            termination,
             f"{step_budget} steps / time {time_budget}",
         )
     if metrics is not None:
@@ -1819,6 +1960,7 @@ def run_clock_view_batch(
         informed_time=times,
         rounds=None,
         steps=steps,
+        termination=termination,
     )
 
 

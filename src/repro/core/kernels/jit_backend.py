@@ -84,7 +84,7 @@ _I64 = np.zeros(0, dtype=np.int64)
 _NEED_REFILL = 0
 _OVERTIME = 1
 _BOUNDARY = 2
-_COMPLETED = 3
+_STOPPED = 3
 
 
 def warmup() -> None:
@@ -239,7 +239,7 @@ def _async_drain_impl(
     loss_uniforms: np.ndarray, has_loss: bool,
     positions: np.ndarray, buffer_lengths: np.ndarray, now: np.ndarray,
     informed: np.ndarray, times: np.ndarray, has_times: bool,
-    num_informed: np.ndarray, completed: np.ndarray,
+    num_informed: np.ndarray, target: np.ndarray, completed: np.ndarray,
     completion_time: np.ndarray,
     degrees: np.ndarray, start: np.ndarray, indices: np.ndarray,
     use_tg: bool, tg_degrees: np.ndarray, tg_start: np.ndarray,
@@ -253,7 +253,11 @@ def _async_drain_impl(
     # refill (_NEED_REFILL), a boundary crossing (_BOUNDARY — the pending
     # draw is NOT consumed, so re-entry recomputes the identical tick
     # time), the time budget (_OVERTIME — draw consumed, not executed,
-    # mirroring the serial engine), or completion (_COMPLETED).
+    # mirroring the serial engine), or the end of the tick that brings the
+    # informed count to the trial's absorbing target (_STOPPED; the target
+    # is n unless the scenario can absorb, and only a boundary crossing
+    # moves it, so a trial absorbed by a crash stops after executing the
+    # pending tick on re-entry).
     for j in range(rows.shape[0]):
         b = rows[j]
         p = positions[b]
@@ -316,20 +320,21 @@ def _async_drain_impl(
                 ok = False
             if ok:
                 if mode_code == 2:
-                    target = callee if ci else caller
+                    target_vertex = callee if ci else caller
                 elif mode_code == 0:
-                    target = callee
+                    target_vertex = callee
                 else:
-                    target = caller
-                informed[b, target] = True
+                    target_vertex = caller
+                informed[b, target_vertex] = True
                 if has_times:
-                    times[b, target] = t
+                    times[b, target_vertex] = t
                 num_informed[b] += 1
+            if num_informed[b] >= target[b]:
                 if num_informed[b] == n:
                     completed[b] = True
                     completion_time[b] = t
-                    st = _COMPLETED
-                    break
+                st = _STOPPED
+                break
         positions[b] = p
         now[b] = t_now
         status[j] = st
@@ -409,7 +414,7 @@ def async_tick_loop(state: "AsyncState") -> None:
             loss_arr, lossy,
             state.positions, state.buffer_lengths, state.now,
             state.informed, times, has_times,
-            state.num_informed, state.completed, state.completion_time,
+            state.num_informed, parts.target, state.completed, state.completion_time,
             state.degrees, state.start, state.indices,
             tg is not None, tg_degrees, tg_start, tg_indices, tg_width,
             loss_thresh, up, has_up, bound, has_bound,
@@ -425,7 +430,7 @@ def async_tick_loop(state: "AsyncState") -> None:
         for j in range(rows.size):
             b = int(rows[j])
             st = int(status[j])
-            if st == _COMPLETED:
+            if st == _STOPPED:
                 live[b] = False
                 state.steps[b] = state.chunk_base[b] + state.positions[b]
             elif st == _OVERTIME:
@@ -473,7 +478,7 @@ def _clock_drain_impl(
     up: np.ndarray, has_up: bool,
     has_adaptive: bool, adaptive_p: float, jam_budget: np.ndarray,
     informed: np.ndarray, times: np.ndarray, has_times: bool,
-    num_informed: np.ndarray, steps: np.ndarray,
+    num_informed: np.ndarray, target: np.ndarray, steps: np.ndarray,
     completed: np.ndarray, completion_time: np.ndarray,
     live: np.ndarray, now: np.ndarray,
     time_budget: float, finite_time_budget: bool, mode_code: int, n: int,
@@ -515,18 +520,21 @@ def _clock_drain_impl(
                 ok = False
             if ok:
                 if mode_code == 2:
-                    target = callee if ci else caller
+                    target_vertex = callee if ci else caller
                 elif mode_code == 0:
-                    target = callee
+                    target_vertex = callee
                 else:
-                    target = caller
-                informed[b, target] = True
+                    target_vertex = caller
+                informed[b, target_vertex] = True
                 if has_times:
-                    times[b, target] = t
+                    times[b, target_vertex] = t
                 num_informed[b] += 1
-                if num_informed[b] == n:
-                    completed[b] = True
-                    completion_time[b] = t
+                # Without epochs the absorbing target never moves, so only
+                # an informing tick can reach it.
+                if num_informed[b] >= target[b]:
+                    if num_informed[b] == n:
+                        completed[b] = True
+                        completion_time[b] = t
                     steps[b] = executed + col + 1
                     live[b] = False
                     survived = False
@@ -597,6 +605,6 @@ def clock_chunk_consume(
         np.ascontiguousarray(up) if up is not None else _B2, up is not None,
         has_adaptive, adaptive_p, jam_budget,
         informed, times if times is not None else _F2, times is not None,
-        num_informed, steps, completed, completion_time, live, now,
+        num_informed, parts.target, steps, completed, completion_time, live, now,
         float(time_budget), bool(finite_time_budget), mode_code, n,
     )

@@ -210,7 +210,11 @@ def async_tick_loop(state: "AsyncState") -> None:
     order, so every refill and boundary crossing fires in the same
     sequence as before — pooled-mode draws included.  Per-trial outputs
     (``informed`` / ``times`` / ``steps`` / ``completed`` / …) stay
-    absolute; ``steps`` is recorded at each trial's retirement.
+    absolute; ``steps`` is recorded at each trial's retirement.  A trial
+    retires at the end of the tick that brings its informed count to its
+    absorbing target (``parts.target``; always ``n`` unless the scenario
+    can absorb) — by informing someone, or by a crash at a boundary the
+    tick crossed.
     """
     n = state.n
     chunk_size = state.chunk
@@ -228,6 +232,9 @@ def async_tick_loop(state: "AsyncState") -> None:
     next_resample = state.next_resample
     up = state.up
     bad = state.bad
+    # Only absorbing scenarios have targets below n; everything else keeps
+    # the plain completion test.
+    target = parts.target if parts.absorbing else None
     degrees_nw = state.degrees
     max_offset_nw = state.max_offset
     start_nw = state.start
@@ -246,11 +253,12 @@ def async_tick_loop(state: "AsyncState") -> None:
     times_flat = state.times.reshape(-1) if state.times is not None else None
 
     # Local (compacted) working set: row i belongs to trial ids[i].  The
-    # engine hands every trial over live, so the locals start as the
-    # state's own arrays and only become copies at the first compaction.
+    # locals start as the state's own arrays and only become copies at the
+    # first compaction; trials absorbed before their first tick start out
+    # retired.
     ids = np.arange(state.batch, dtype=np.int64)
-    alive = np.ones(state.batch, dtype=bool)
-    retired = 0
+    alive = live.copy()
+    retired = state.batch - int(np.count_nonzero(alive))
     gaps = state.gaps
     callers = state.callers
     nbr_uniforms = state.nbr_uniforms
@@ -398,6 +406,7 @@ def async_tick_loop(state: "AsyncState") -> None:
                     rows = np.flatnonzero(alive)
                     pos_base = None
                     continue
+        stopped = None
         if has_boundaries and float(tick_time.max()) >= boundary_floor:
             # Boundaries at integer times (churn/burst epochs) and at
             # dynamic-graph periods: every boundary crossed in
@@ -428,6 +437,14 @@ def async_tick_loop(state: "AsyncState") -> None:
                     boundary_floor = float(next_epoch.min())
                 if next_resample is not None:
                     boundary_floor = min(boundary_floor, float(next_resample.min()))
+                if target is not None:
+                    # A crash can leave a trial absorbed: it still executes
+                    # this tick, then retires with the informing ones below.
+                    crossed = rows[crossing]
+                    crossed_ids = ids.take(crossed)
+                    stopped = crossed[
+                        num_informed.take(crossed_ids) >= target.take(crossed_ids)
+                    ]
         # The loss threshold depends on the burst channel state *after* the
         # boundaries at this tick fired, so it resolves only now.  Under an
         # adaptive jammer the uniform is judged later, against the
@@ -488,24 +505,31 @@ def async_tick_loop(state: "AsyncState") -> None:
             if times_flat is not None:
                 times_flat[active_flat] = tick_time[active]
             num_informed[active_ids] += 1
-            done_mask = num_informed[active_ids] == n
+            if target is None:
+                done_mask = num_informed[active_ids] == n
+            else:
+                done_mask = num_informed[active_ids] >= target[active_ids]
             if done_mask.any():
                 done_local = rows[active][done_mask]
-                done_ids = active_ids[done_mask]
-                completed[done_ids] = True
-                completion_time[done_ids] = now.take(done_local)
-                steps_out[done_ids] = (
-                    chunk_base.take(done_local) + positions.take(done_local)
+                stopped = (
+                    done_local if stopped is None else np.union1d(stopped, done_local)
                 )
-                live[done_ids] = False
-                alive[done_local] = False
-                retired += done_local.size
-                if _compact_due():
-                    _compact()
-                rows = np.flatnonzero(alive)
-                pos_base = None
+        if stopped is not None and stopped.size:
+            done_ids = ids.take(stopped)
+            full = num_informed[done_ids] == n
+            completed[done_ids[full]] = True
+            completion_time[done_ids[full]] = now.take(stopped[full])
+            steps_out[done_ids] = chunk_base.take(stopped) + positions.take(stopped)
+            live[done_ids] = False
+            alive[stopped] = False
+            retired += stopped.size
+            if _compact_due():
+                _compact()
+            rows = np.flatnonzero(alive)
+            pos_base = None
         # `rows` stays valid across iterations: every path that retires a
-        # trial (budget boundary, overtime, completion) refreshed it above.
+        # trial (budget boundary, overtime, completion, absorption)
+        # refreshed it above.
 
 
 # ---------------------------------------------------------------------- #
@@ -546,8 +570,11 @@ def clock_chunk_consume(
     from ``pooled_rng`` mid-block.  Mutates the absolute per-trial state
     in place.  The column loop touches ``steps`` only at retirement: while
     alive, every trial executes every column, so the count is implied by
-    the column index (``executed + column``).
+    the column index (``executed + column``).  A trial retires after the
+    column that brings its informed count to its absorbing target
+    (``parts.target``; ``n`` unless the scenario can absorb).
     """
+    target = parts.target
     alive = np.ones(rows.size, dtype=bool)
     local = np.arange(rows.size, dtype=np.int64)
     active_rows = rows
@@ -567,6 +594,7 @@ def clock_chunk_consume(
                     break
                 active_rows = rows[local]
                 tick_time = tick_time[~over]
+        stopped = None
         if next_epoch is not None:
             # Churn/burst epochs at integer times, as in the per-trial
             # kernel; the updates draw from the pooled generator.
@@ -577,6 +605,14 @@ def clock_chunk_consume(
                         b, t, pooled_rng, n, up, bad, next_epoch, None, None,
                         informed,
                     )
+                if parts.absorbing:
+                    # A crash can leave a trial absorbed: it still executes
+                    # this column, then retires.
+                    crossed = local[crossing]
+                    crossed_rows = rows[crossed]
+                    stopped = crossed[
+                        num_informed[crossed_rows] >= target[crossed_rows]
+                    ]
         caller = callers[local, column]
         callee = callees[local, column]
         caller_informed = informed[active_rows, caller]
@@ -612,19 +648,24 @@ def clock_chunk_consume(
             if times is not None:
                 times[hit_rows, hit_targets] = hit_times
             num_informed[hit_rows] += 1
-            done = num_informed[hit_rows] == n
+            done = num_informed[hit_rows] >= target[hit_rows]
             if done.any():
+                full = num_informed[hit_rows] == n
+                completed[hit_rows[full]] = True
+                completion_time[hit_rows[full]] = hit_times[full]
                 done_local = hit_local[done]
-                done_rows = rows[done_local]
-                completed[done_rows] = True
-                completion_time[done_rows] = hit_times[done]
-                steps[done_rows] = executed + column + 1
-                live[done_rows] = False
-                alive[done_local] = False
-                local = np.flatnonzero(alive)
-                if local.size == 0:
-                    break
-                active_rows = rows[local]
+                stopped = (
+                    done_local if stopped is None else np.union1d(stopped, done_local)
+                )
+        if stopped is not None and stopped.size:
+            done_rows = rows[stopped]
+            steps[done_rows] = executed + column + 1
+            live[done_rows] = False
+            alive[stopped] = False
+            local = np.flatnonzero(alive)
+            if local.size == 0:
+                break
+            active_rows = rows[local]
     if local.size:
         steps[active_rows] = executed + width
         now[active_rows] = tick_times[local, width - 1]

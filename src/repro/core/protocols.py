@@ -24,21 +24,30 @@ Canonical names (matching the paper's notation):
 
 Every call also accepts a ``scenario=`` argument (a
 :class:`repro.scenarios.Scenario` or a spec string like ``"loss:p=0.3"``)
-applying composable adversity models.  Scenario support by protocol group:
+applying composable adversity models.  Scenario support by protocol group,
+and the stop reasons (``SpreadingResult.termination`` /
+``BatchTimes.termination``) a trial can end with under each:
 
-====================  =====  =====  =======  ======  ==============
-scenario              sync   async  ppx/ppy  batch   notes
-====================  =====  =====  =======  ======  ==============
-``loss``              yes    yes    no       yes     per-exchange drop
-``burst-loss``        yes    yes    no       yes     Gilbert–Elliott channel; state steps once per round / time unit
-``churn``             yes    yes    no       yes     state updates once per round / time unit
-``targeted-churn``    yes    yes    no       yes     deterministic: top vertices by degree/eccentricity crash at trial start
-``adaptive-crash``    yes    yes    no       yes     budget-limited: each round / epoch crashes the top-``k`` *informed* vertices by degree/eccentricity until the budget is spent
-``adaptive-loss``     yes    yes    no       yes     budget-limited: drops only *informative* contacts (informed→uninformed) with probability ``p`` until the budget is spent
-``dynamic``           yes    yes*   no       yes*    \\*every view except ``edge_clocks`` (a resample would change the pair clock set)
-``adversarial-source`` yes   yes    yes      yes     deterministic; overrides ``source``
-``delay``             no     yes    no       yes     clock rates are an async-only notion; reweights per-clock rates under the clock views
-====================  =====  =====  =======  ======  ==============
+====================  =====  =====  =======  ======  ============================  ==============
+scenario              sync   async  ppx/ppy  batch   termination                   notes
+====================  =====  =====  =======  ======  ============================  ==============
+``loss``              yes    yes    no       yes     completed, budget             per-exchange drop
+``burst-loss``        yes    yes    no       yes     completed, budget             Gilbert–Elliott channel; state steps once per round / time unit
+``churn``             yes    yes    no       yes     completed, absorbed, budget   state updates once per round / time unit; ``absorbed`` only with ``recovery_rate=0``
+``targeted-churn``    yes    yes    no       yes     completed, absorbed, budget   deterministic: top vertices by degree/eccentricity crash at trial start
+``adaptive-crash``    yes    yes    no       yes     completed, absorbed, budget   budget-limited: each round / epoch crashes the top-``k`` *informed* vertices by degree/eccentricity until the budget is spent
+``adaptive-loss``     yes    yes    no       yes     completed, budget             budget-limited: drops only *informative* contacts (informed→uninformed) with probability ``p`` until the budget is spent
+``dynamic``           yes    yes*   no       yes*    completed, budget             \\*every view except ``edge_clocks`` (a resample would change the pair clock set); never ``absorbed``, even composed with crashes
+``adversarial-source`` yes   yes    yes      yes     completed, budget             deterministic; overrides ``source``
+``delay``             no     yes    no       yes     completed, budget             clock rates are an async-only notion; reweights per-clock rates under the clock views
+====================  =====  =====  =======  ======  ============================  ==============
+
+``absorbed`` means the trial stopped early: every crash is permanent, and
+no uninformed up vertex is reachable from an informed up vertex (nor has
+an adaptive crash adversary a move left), so no future contact can inform
+anyone (:func:`repro.scenarios.absorbing_target`).  Every engine — serial
+and batched, on both kernel backends — applies the same stop at the same
+round or tick, with the outcome fields of a run to the full budget.
 
 Asynchronous runtime scenarios run under **all three views** (``global``,
 ``node_clocks``, ``edge_clocks``); the single exception is ``dynamic``
@@ -405,6 +414,7 @@ def _record_spread_metrics(result: SpreadingResult) -> None:
         "engine.messages_delivered",
         result.push_infections + result.pull_infections,
     )
+    metrics.count(f"engine.termination.{result.termination}")
     if result.adversary_budget_spent is not None:
         metrics.count(
             "scenario.adversary_budget_spent", result.adversary_budget_spent

@@ -24,10 +24,22 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["ContactEvent", "SpreadingResult", "BatchTimes", "InfectionKind"]
+__all__ = [
+    "ContactEvent",
+    "SpreadingResult",
+    "BatchTimes",
+    "InfectionKind",
+    "TERMINATIONS",
+]
 
 #: How a vertex learned the rumor.
 InfectionKind = str  # "source", "push", or "pull"
+
+#: Why a trial stopped: every vertex informed, an absorbing state (no
+#: future contact can inform anyone — see
+#: :func:`repro.scenarios.absorbing_target`), or an exhausted round / step /
+#: time budget.
+TERMINATIONS = ("completed", "absorbed", "budget")
 
 
 @dataclass(frozen=True)
@@ -77,6 +89,9 @@ class SpreadingResult:
             (``None`` when no adaptive scenario component was active).
         trace: optional list of every contact (only populated when the
             engine was asked to record a trace; traces are large).
+        termination: why the run stopped, one of :data:`TERMINATIONS`.
+            Left unset, it follows ``completed`` (``"completed"`` or
+            ``"budget"``); engines pass ``"absorbed"`` explicitly.
     """
 
     protocol: str
@@ -94,6 +109,17 @@ class SpreadingResult:
     total_contacts: int = 0
     adversary_budget_spent: Optional[int] = None
     trace: Optional[tuple[ContactEvent, ...]] = field(default=None, repr=False)
+    termination: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if self.termination is None:
+            object.__setattr__(
+                self, "termination", "completed" if self.completed else "budget"
+            )
+        elif self.termination not in TERMINATIONS:
+            raise ValueError(
+                f"termination must be one of {TERMINATIONS}, got {self.termination!r}"
+            )
 
     # ------------------------------------------------------------------ #
     # Derived quantities
@@ -208,6 +234,9 @@ class BatchTimes:
             (``None`` for asynchronous protocols).
         steps: ``(B,)`` int array of asynchronous clock ticks executed per
             trial (``None`` for synchronous protocols).
+        termination: ``(B,)`` string array; why each trial stopped, one of
+            :data:`TERMINATIONS`.  Left unset, it follows ``completed``
+            (``"completed"`` or ``"budget"``).
     """
 
     protocol: str
@@ -219,6 +248,15 @@ class BatchTimes:
     informed_time: Optional[np.ndarray] = field(default=None, repr=False)
     rounds: Optional[np.ndarray] = None
     steps: Optional[np.ndarray] = None
+    termination: Optional[np.ndarray] = None
+
+    def __post_init__(self) -> None:
+        if self.termination is None:
+            object.__setattr__(
+                self,
+                "termination",
+                np.where(self.completed, "completed", "budget").astype("<U9"),
+            )
 
     @property
     def num_trials(self) -> int:

@@ -36,7 +36,7 @@ from repro.core.result import ContactEvent, SpreadingResult
 from repro.errors import ProtocolError, ScenarioError, SimulationError
 from repro.graphs.base import Graph
 from repro.randomness.rng import SeedLike, as_generator
-from repro.scenarios.base import ScenarioLike, as_scenario
+from repro.scenarios.base import ScenarioLike, absorbing_target, as_scenario
 
 __all__ = [
     "run_synchronous",
@@ -97,8 +97,9 @@ def run_synchronous(
             Under a scenario the trace records every *attempted* contact,
             including those suppressed by loss or churn.
         on_budget_exhausted: ``"error"`` raises :class:`SimulationError` when
-            the budget runs out before everyone is informed; ``"partial"``
-            returns the incomplete result instead.
+            the run stops before everyone is informed — the budget ran out,
+            or the trial was absorbed (see below); ``"partial"`` returns the
+            incomplete result instead.
         scenario: optional adversity scenario (or spec string) from
             :mod:`repro.scenarios`; message loss (independent or bursty),
             node churn (random or targeted), and dynamic graphs apply to
@@ -109,7 +110,13 @@ def run_synchronous(
             selection (``rng.random(n)``), loss coin flips
             (``rng.random(n)``, drawn whenever a loss or burst-loss
             component is present) — the batch kernel consumes per-trial
-            randomness identically.
+            randomness identically.  Under permanent crashes
+            (:attr:`~repro.scenarios.Scenario.can_absorb`) the run stops
+            at the end of the first round after which no uninformed up
+            vertex is reachable from an informed up vertex
+            (:func:`~repro.scenarios.absorbing_target`), or before round 1
+            if the source is already cut off; ``termination`` is then
+            ``"absorbed"``.
 
     Returns:
         A :class:`SpreadingResult`; informing times are round numbers
@@ -188,21 +195,38 @@ def run_synchronous(
     jam_budget = adaptive_loss.budget if adaptive_loss is not None else 0
     bad = False
 
+    # The informed count at which no future contact can inform anyone:
+    # n unless crashes are permanent, then recomputed whenever the down
+    # set changes.
+    absorbing = scenario is not None and scenario.can_absorb
+    target = n
+    if absorbing:
+        target = absorbing_target(flat.indptr, flat.indices, informed, up, crash_budget)
+
     num_informed = 1
-    while num_informed < n and rounds_executed < budget:
+    while num_informed < target and rounds_executed < budget:
         rounds_executed += 1
         # Scenario randomness order (see the `scenario` arg docs): graph
         # resample, churn update, burst update, contacts, loss flips.
         if dynamic is not None and rounds_executed > 1 and (rounds_executed - 1) % dynamic.period == 0:
             current_graph = dynamic.resample(current_graph, rng)
             flat = FlatAdjacency(current_graph)
+        down_changed = False
         if churn_updates:
-            up = churn.step(up, rng.random(n))
+            stepped = churn.step(up, rng.random(n))
+            down_changed = np.count_nonzero(stepped) != np.count_nonzero(up)
+            up = stepped
         elif adaptive_churn:
             # The adaptive adversary observes the round-start informed set
             # and crashes deterministically — no draw, so the RNG stream is
             # identical to the unperturbed engine's.
-            crash_budget -= churn.crash_step(up, informed, crash_order, crash_budget)
+            spent = churn.crash_step(up, informed, crash_order, crash_budget)
+            crash_budget -= spent
+            down_changed = spent > 0
+        if absorbing and down_changed:
+            target = absorbing_target(
+                flat.indptr, flat.indices, informed, up, crash_budget
+            )
         if burst is not None:
             bad = bool(burst.step_state(bad, rng.random()))
         contacts = flat.random_neighbors_all(rng.random(n))
@@ -311,10 +335,17 @@ def run_synchronous(
             )
 
     completed = num_informed == n
+    absorbed = not completed and num_informed >= target
     if not completed and on_budget_exhausted == "error":
+        reason = (
+            f": absorbed after {rounds_executed} rounds under {scenario.spec()} "
+            "(no uninformed up vertex is reachable)"
+            if absorbed
+            else f" within {budget} rounds"
+        )
         raise SimulationError(
             f"synchronous {mode} on {graph.name} informed only {num_informed}/{n} "
-            f"vertices within {budget} rounds"
+            f"vertices{reason}"
         )
 
     adversary_budget_spent = None
@@ -339,4 +370,5 @@ def run_synchronous(
         total_contacts=total_contacts,
         adversary_budget_spent=adversary_budget_spent,
         trace=tuple(trace) if record_trace else None,
+        termination="absorbed" if absorbed else None,
     )

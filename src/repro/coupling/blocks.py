@@ -42,7 +42,7 @@ This module provides two levels of machinery:
   version.  This choice does not affect the synchronous side (the rounds are
   used verbatim), so the Lemma 13 subset check and the Lemma 14 round counts
   are unaffected; only the exact law of the replaced asynchronous step is
-  approximated.  The substitution is recorded in DESIGN.md.
+  approximated.
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 
 Import :func:`repro.experiments.run_experiment` (or use the
 ``repro-experiments`` CLI / ``python -m repro``) to regenerate any of the
-result tables listed in DESIGN.md's per-experiment index.
+result tables of the per-experiment index in
+:mod:`repro.experiments.registry`.
 """
 
 from repro.experiments.presets import PRESETS, Preset, get_preset

@@ -6,8 +6,8 @@ and the number of Monte Carlo trials:
 * ``"smoke"`` — a few seconds; used by the unit/integration tests.
 * ``"quick"`` — tens of seconds per experiment; the default for the
   pytest-benchmark harness so the full suite completes on a laptop.
-* ``"full"`` — the configuration used to produce the numbers quoted in
-  EXPERIMENTS.md; minutes per experiment.
+* ``"full"`` — the configuration for publication-grade numbers of every
+  experiment in :mod:`repro.experiments.registry`; minutes per experiment.
 
 Experiments read the fields they need and ignore the rest, so one preset
 type serves all of them.

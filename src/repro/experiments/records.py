@@ -4,8 +4,9 @@ The paper has no numbered tables or figures, so each experiment in this
 package produces a table-shaped :class:`ExperimentResult` that plays that
 role: a list of rows (dictionaries), the columns to display, free-form notes
 (e.g. which preset was used), and a ``conclusions`` mapping with the handful
-of headline numbers/booleans the claim is judged by (these are what
-EXPERIMENTS.md records and what the benchmark assertions check).
+of headline numbers/booleans the claim is judged by (these are what the
+markdown summary of :mod:`repro.experiments.summary` reports and what the
+benchmark assertions check).
 """
 
 from __future__ import annotations

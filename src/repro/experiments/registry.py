@@ -1,8 +1,9 @@
-"""Experiment registry: the per-claim index of DESIGN.md, executable.
+"""Experiment registry: the executable per-claim index of the experiments.
 
 Every experiment module registers a runner here under its id (``"E1"`` ...
-``"E11"``).  The CLI, the benchmarks, and EXPERIMENTS.md all go through this
-registry so the set of experiments has a single source of truth.
+``"E13"``).  The CLI, the benchmarks, and the markdown summary
+(:mod:`repro.experiments.summary`) all go through this registry so the set
+of experiments has a single source of truth.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ class ExperimentSpec:
     """Registry entry for one experiment.
 
     Attributes:
-        experiment_id: the id used in DESIGN.md / EXPERIMENTS.md (e.g. "E1").
+        experiment_id: the id used by the CLI and the reports (e.g. "E1").
         title: one-line title.
         claim: the paper claim the experiment reproduces.
         runner: the ``run(preset=..., seed=...)`` callable.

@@ -1,8 +1,8 @@
 """Markdown summary generation for experiment results.
 
-EXPERIMENTS.md records, for every experiment of the index, the paper's claim
-next to the measured outcome.  :func:`results_to_markdown` produces that
-report automatically from a collection of
+The report records, for every experiment of the index in
+:mod:`repro.experiments.registry`, the paper's claim next to the measured
+outcome.  :func:`results_to_markdown` produces that report automatically from a collection of
 :class:`~repro.experiments.records.ExperimentResult` objects (as returned by
 :func:`repro.experiments.run_all_experiments` or reloaded from the JSON
 artefacts), so the document can be regenerated from a single command::

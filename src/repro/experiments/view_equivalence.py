@@ -6,7 +6,8 @@ rate-``n`` global clock — and notes their equivalence follows from the
 superposition/memorylessness properties of Poisson processes.  The engines
 in :mod:`repro.core.async_engine` implement all three, so this experiment
 verifies the equivalence empirically (it doubles as an ablation of the
-engine-view design choice listed in DESIGN.md): for each graph it draws a
+engine-view design choice, registered as E10 in
+:mod:`repro.experiments.registry`): for each graph it draws a
 spreading-time sample per view and reports the pairwise two-sample
 Kolmogorov–Smirnov distances and p-values.
 """

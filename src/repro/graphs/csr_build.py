@@ -29,6 +29,7 @@ __all__ = [
     "csr_from_half_edges",
     "csr_edges",
     "csr_add_edges",
+    "frontier_neighbors",
     "csr_is_connected",
     "connected_component_labels",
     "component_representatives",
@@ -93,7 +94,7 @@ def csr_add_edges(
     )
 
 
-def _frontier_neighbors(
+def frontier_neighbors(
     indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray
 ) -> np.ndarray:
     """All neighbors of the frontier vertices, concatenated (with repeats)."""
@@ -115,7 +116,7 @@ def csr_is_connected(indptr: np.ndarray, indices: np.ndarray) -> bool:
     frontier = np.array([0], dtype=np.int64)
     count = 1
     while frontier.size:
-        neighbors = _frontier_neighbors(indptr, indices, frontier)
+        neighbors = frontier_neighbors(indptr, indices, frontier)
         new = np.unique(neighbors[~seen[neighbors]])
         seen[new] = True
         count += new.size
@@ -146,7 +147,7 @@ def connected_component_labels(
         labels[start] = label
         frontier = np.array([start], dtype=np.int64)
         while frontier.size:
-            neighbors = _frontier_neighbors(indptr, indices, frontier)
+            neighbors = frontier_neighbors(indptr, indices, frontier)
             new = np.unique(neighbors[labels[neighbors] < 0])
             labels[new] = label
             frontier = new

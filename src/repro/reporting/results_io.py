@@ -1,10 +1,11 @@
 """Persistence of experiment results: JSON, CSV, and JSONL event streams.
 
 The benchmark harness and the CLI can write every
-:class:`~repro.experiments.records.ExperimentResult` to disk so that
-EXPERIMENTS.md numbers can be traced back to a concrete artefact.  JSON
-round-trips the whole record; CSV exports just the table rows (one file per
-experiment) for spreadsheet-style inspection.
+:class:`~repro.experiments.records.ExperimentResult` to disk so that the
+reported numbers of every experiment in :mod:`repro.experiments.registry`
+can be traced back to a concrete artefact.  JSON round-trips the whole
+record; CSV exports just the table rows (one file per experiment) for
+spreadsheet-style inspection.
 
 The JSONL helpers (:func:`append_jsonl` / :func:`save_jsonl` /
 :func:`load_jsonl`) back the telemetry layer's structured run manifests

@@ -23,6 +23,7 @@ from repro.scenarios.base import (
     SOURCE_STRATEGIES,
     TARGETED_CHURN_CRITERIA,
     TargetedChurn,
+    absorbing_target,
     as_scenario,
     compose,
     scenario_source,
@@ -53,6 +54,7 @@ __all__ = [
     "ScenarioLike",
     "SOURCE_STRATEGIES",
     "TARGETED_CHURN_CRITERIA",
+    "absorbing_target",
     "as_scenario",
     "compose",
     "scenario_source",

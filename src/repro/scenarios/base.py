@@ -71,6 +71,17 @@ asynchronous model updates it once per unit of simulated time (which a
 synchronous round is), so one ``(crash_rate, recovery_rate)`` pair means
 the same thing in both models.
 
+**Absorbing states.**  When every crash is permanent and no dynamic graph
+can reconnect the live part (:attr:`Scenario.can_absorb`), a trial can get
+stuck short of informing everyone.  :func:`absorbing_target` is the single
+test every engine uses: the informed count plus the uninformed up vertices
+reachable from an informed up vertex (``n`` while an adaptive crash
+adversary still has moves).  It is recomputed only when the down set
+changes, and a trial stops — ``termination == "absorbed"`` — at the end of
+the round or tick after which its informed count reaches it.  The stop
+draws nothing, so every outcome field equals that of a run to the full
+budget.
+
 **Clock-queue views.**  The asynchronous ``node_clocks``/``edge_clocks``
 views support every runtime scenario except a :class:`DynamicGraph` under
 ``edge_clocks`` (resampling the graph would change the per-pair clock set
@@ -90,6 +101,7 @@ import numpy as np
 from repro.caching import IdentityLRU
 from repro.errors import ScenarioError
 from repro.graphs.base import Graph
+from repro.graphs.csr_build import frontier_neighbors
 
 __all__ = [
     "Scenario",
@@ -99,6 +111,7 @@ __all__ = [
     "TargetedChurn",
     "AdaptiveCrash",
     "AdaptiveLoss",
+    "absorbing_target",
     "DynamicGraph",
     "AdversarialSource",
     "Delay",
@@ -174,6 +187,19 @@ class Scenario:
     def source_strategy(self) -> Optional[str]:
         """The adversarial source-placement strategy, if any."""
         return None
+
+    @property
+    def can_absorb(self) -> bool:
+        """Whether a trial can get stuck short of informing everyone.
+
+        True only when every crash is permanent (:class:`TargetedChurn`,
+        :class:`AdaptiveCrash`, :class:`NodeChurn` with ``recovery_rate=0``)
+        and no :class:`DynamicGraph` can reconnect the live part of the
+        graph.  Engines compute :func:`absorbing_target` only then; every
+        other run keeps the plain ``num_informed == n`` stop.
+        """
+        churn = self.churn
+        return churn is not None and churn.permanent and self.dynamic is None
 
     def components(self) -> tuple["Scenario", ...]:
         """The atomic scenarios this one is composed of."""
@@ -316,8 +342,12 @@ class NodeChurn(Scenario):
     A crashed vertex neither initiates contacts nor answers them, but keeps
     the rumor if it already had it.  All vertices start up.
 
-    With ``recovery_rate = 0`` crashes are permanent and spreading can stall
-    forever; pair that setting with ``on_budget_exhausted="partial"``.
+    With ``recovery_rate = 0`` crashes are permanent, and the live part of
+    the graph can cut the rumor off for good.  Every engine then stops the
+    trial as soon as no uninformed up vertex is reachable from an informed
+    up vertex (see :func:`absorbing_target`) and reports it incomplete with
+    ``termination == "absorbed"``; pass ``on_budget_exhausted="partial"`` to
+    get that result back instead of an error.
     """
 
     crash_rate: float
@@ -339,6 +369,11 @@ class NodeChurn(Scenario):
     def initial_up(self, graph: Graph) -> np.ndarray:
         """The up/down state at trial start: every vertex up."""
         return np.ones(graph.num_vertices, dtype=bool)
+
+    @property
+    def permanent(self) -> bool:
+        """Whether a crashed vertex stays down for good (no recovery)."""
+        return self.recovery_rate == 0.0
 
     def step(self, up: np.ndarray, draws: np.ndarray) -> np.ndarray:
         """Advance the up/down state one epoch given one uniform per vertex.
@@ -369,11 +404,16 @@ class TargetedChurn(Scenario):
     — but the state is deterministic and static, so the model consumes no
     randomness at all.
 
-    Crashing the hubs can disconnect the live part of the graph and stall
-    spreading forever; pair aggressive fractions with
-    ``on_budget_exhausted="partial"``.  Under a :class:`DynamicGraph` the
-    targets are ranked once on the *initial* graph and stay fixed.  Shares
-    the churn category with :class:`NodeChurn`, so the two cannot compose.
+    Crashing the hubs can disconnect the live part of the graph — or cut
+    the source off at trial start.  Every engine stops such a trial as soon
+    as no uninformed up vertex is reachable from an informed up vertex (see
+    :func:`absorbing_target`) and reports it incomplete with
+    ``termination == "absorbed"``; pass ``on_budget_exhausted="partial"`` to
+    get that result back instead of an error.  Under a :class:`DynamicGraph`
+    the targets are ranked once on the *initial* graph and stay fixed (and
+    no trial is ever absorbed: a resample can reconnect the live part).
+    Shares the churn category with :class:`NodeChurn`, so the two cannot
+    compose.
     """
 
     fraction: float
@@ -381,6 +421,8 @@ class TargetedChurn(Scenario):
 
     #: Static state: engines skip the per-epoch churn update entirely.
     epoch_draws = False
+    #: Crashed vertices never recover.
+    permanent = True
 
     def __post_init__(self) -> None:
         _check_probability("fraction", self.fraction, allow_one=True)
@@ -456,8 +498,14 @@ class AdaptiveCrash(Scenario):
     state, but the model consumes **no randomness** — it is a deterministic
     function of the observed informed masks — so fixed-seed serial/batch
     equivalence holds with unchanged RNG streams.  Crashing informed hubs
-    can stall spreading entirely; pair aggressive budgets with
-    ``on_budget_exhausted="partial"``.  Shares the churn category with
+    can stall spreading entirely.  Once the adversary has no move left (its
+    budget is spent, or no informed vertex is up) and no uninformed up
+    vertex is reachable from an informed up vertex, every engine stops the
+    trial and reports it incomplete with ``termination == "absorbed"`` (see
+    :func:`absorbing_target`) — the remaining crashes play out first, so
+    the budget spend is that of a run to the full budget.  Pass
+    ``on_budget_exhausted="partial"`` to get that result back instead of an
+    error.  Shares the churn category with
     :class:`NodeChurn`/:class:`TargetedChurn` (composes with loss, dynamic,
     delay, and adversarial-source components, including
     :class:`AdaptiveLoss`).
@@ -472,6 +520,8 @@ class AdaptiveCrash(Scenario):
     epoch_draws = False
     #: … but the epoch boundaries must fire so the crash schedule advances.
     adaptive = True
+    #: Crashed vertices never recover.
+    permanent = True
 
     def __post_init__(self) -> None:
         budget = int(self.budget)
@@ -521,6 +571,46 @@ class AdaptiveCrash(Scenario):
 
     def spec(self) -> str:
         return f"adaptive-crash:budget={self.budget},k={self.k},by={self.by}"
+
+
+def absorbing_target(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    informed: np.ndarray,
+    up: np.ndarray,
+    crash_budget: int = 0,
+) -> int:
+    """How many vertices a trial can still end up informing.
+
+    The single definition of the absorbing-state test every engine uses
+    (like :meth:`NodeChurn.step` and :meth:`AdaptiveCrash.crash_step` for
+    the transitions).  Under a scenario whose crashes are permanent
+    (:attr:`Scenario.can_absorb`), the vertices that can ever learn the
+    rumor are the informed ones plus every uninformed *up* vertex reachable
+    from an informed up vertex along a path of up vertices.  Returns that
+    count; a trial whose informed count reaches it is absorbed — no future
+    contact can inform anyone — and engines stop it there.
+
+    ``crash_budget`` is an :class:`AdaptiveCrash` adversary's remaining
+    budget.  While it is positive and some informed vertex is up, the
+    adversary still has moves that change the outcome fields, so the target
+    is ``n`` (never reached short of completion) until those crashes play
+    out.  ``(indptr, indices)`` is the graph's CSR; ``informed`` and ``up``
+    are the trial's boolean masks.
+    """
+    informed = np.asarray(informed, dtype=bool)
+    live_informed = informed & up
+    if crash_budget > 0 and live_informed.any():
+        return int(informed.size)
+    seen = informed | ~up
+    frontier = np.flatnonzero(live_informed)
+    reachable = 0
+    while frontier.size:
+        neighbors = frontier_neighbors(indptr, indices, frontier)
+        frontier = np.unique(neighbors[~seen[neighbors]])
+        seen[frontier] = True
+        reachable += frontier.size
+    return int(np.count_nonzero(informed)) + reachable
 
 
 @dataclass(frozen=True, repr=False)

@@ -4,16 +4,26 @@ Also puts ``tests/`` itself on ``sys.path`` so suites anywhere in the tree
 can import the shared serial-vs-batch equivalence harness as
 ``from helpers.equivalence import ...`` regardless of pytest's rootdir
 insertion rules.
+
+Without numba the jit backend's legs run its loops uncompiled
+(``REPRO_JIT_PURE_PYTHON=1``) instead of skipping, so numba-free machines
+verify the jit kernels' logic against the same harness; an explicit
+``REPRO_JIT_PURE_PYTHON`` setting in the environment wins.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import os
 import sys
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+if importlib.util.find_spec("numba") is None:
+    os.environ.setdefault("REPRO_JIT_PURE_PYTHON", "1")
 
 from repro.graphs import (
     complete_graph,

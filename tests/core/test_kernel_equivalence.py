@@ -6,8 +6,9 @@ through the shared trial-for-trial assertion — once per kernel backend,
 since the per-trial RNG modes promise bit-identical results under both
 ``"numpy"`` and ``"jit"`` (see :mod:`repro.core.kernels`).  A kernel that
 is not in the registry is not covered by the gate — add cases when adding
-kernels.  The jit legs skip cleanly when numba is not installed (the
-default CI job stays numba-free; the ``jit-kernels`` job runs them).
+kernels.  Without numba the jit legs run the jit loops uncompiled
+(``tests/conftest.py`` sets ``REPRO_JIT_PURE_PYTHON=1``); the
+``jit-kernels`` CI job runs them compiled.
 """
 
 from __future__ import annotations

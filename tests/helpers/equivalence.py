@@ -85,10 +85,12 @@ def assert_batch_matches_serial(
     """Batched kernel vs per-trial serial engine, trial-for-trial.
 
     Spawns the same per-trial generators for both paths; any divergence in
-    informing times, completion flags, or spreading times fails with the
-    offending trial index.  ``backend`` selects the kernel backend for the
-    batched side (the serial side ignores it), so the same gate pins every
-    backend to the one serial reference.
+    informing times, completion flags, spreading times, executed work
+    (``rounds`` / ``steps``), or stop reason (``termination``) fails with
+    the offending trial index — so both paths must also stop on the same
+    round or tick.  ``backend`` selects the kernel backend for the batched
+    side (the serial side ignores it), so the same gate pins every backend
+    to the one serial reference.
     """
     if backend is not None:
         options = {**options, "backend": backend}
@@ -109,6 +111,13 @@ def assert_batch_matches_serial(
         )
         assert bool(batched.completed[i]) == serial.completed
         assert batched.completion_time[i] == serial.spreading_time
+        assert batched.termination[i] == serial.termination, (
+            f"trial {i} of {protocol} on {graph.name} stopped for another reason"
+        )
+        if batched.is_synchronous:
+            assert batched.rounds[i] == serial.rounds, f"trial {i}: rounds differ"
+        else:
+            assert batched.steps[i] == serial.steps, f"trial {i}: steps differ"
     return batched
 
 

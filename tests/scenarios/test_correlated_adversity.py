@@ -189,6 +189,10 @@ class TestEnginesEndToEnd:
         assert np.isfinite(result.informed_time[1])
         assert not np.isfinite(result.informed_time[0])
         assert sum(1 for t in result.informed_time if np.isfinite(t)) == 1
+        # The source is cut off at trial start, so the run stops there
+        # instead of spending its budget.
+        assert result.termination == "absorbed"
+        assert (result.rounds if protocol == "pp" else result.steps) == 0
 
     @pytest.mark.parametrize(
         "scenario",

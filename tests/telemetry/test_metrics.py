@@ -2,8 +2,9 @@
 
 The worker-merge test compares only *chunking-invariant* counters —
 ``engine.rounds``, ``engine.clock_ticks``, ``engine.messages_attempted``,
-``engine.messages_delivered``, and ``analysis.trials`` are identical
-however the trials are split across batches or workers.  Counters like
+``engine.messages_delivered``, the per-trial stop reasons
+``engine.termination.{completed,absorbed,budget}``, and ``analysis.trials``
+are identical however the trials are split across batches or workers.  Counters like
 ``engine.drain_returns`` and ``engine.kernel_invocations`` intentionally
 are not (they count kernel entries, which scale with the number of
 chunks), so they stay out of the comparison.
@@ -23,13 +24,19 @@ from repro.telemetry.metrics import (
     current_metrics,
 )
 
+TERMINATION_COUNTERS = (
+    "engine.termination.completed",
+    "engine.termination.absorbed",
+    "engine.termination.budget",
+)
+
 INVARIANT_COUNTERS = (
     "engine.rounds",
     "engine.clock_ticks",
     "engine.messages_attempted",
     "engine.messages_delivered",
     "analysis.trials",
-)
+) + TERMINATION_COUNTERS
 
 
 class TestRegistry:
@@ -109,8 +116,11 @@ class TestEngineCounters:
             with collecting_metrics(registry):
                 run_trials(small_cycle, 0, "pp", trials=5, seed=11, batch=batch)
             by_path[batch] = registry.snapshot()["counters"]
-        for key in ("engine.rounds", "engine.messages_attempted", "analysis.trials"):
-            assert by_path[True][key] == by_path[False][key], key
+        for key in (
+            "engine.rounds", "engine.messages_attempted", "analysis.trials",
+        ) + TERMINATION_COUNTERS:
+            assert by_path[True].get(key) == by_path[False].get(key), key
+        assert by_path[True]["engine.termination.completed"] == 5
 
     def test_metrics_never_change_the_sample(self, small_cycle):
         plain = run_trials(small_cycle, 0, "pp-a", trials=4, seed=9, batch=True)
@@ -142,6 +152,41 @@ class TestWorkerMerge:
         for key in INVARIANT_COUNTERS:
             assert merged_counters.get(key) == local_counters.get(key), key
 
+    def test_stop_reasons_agree_across_paths(self):
+        """Serial == batched == worker-merged on every stop reason: the
+        targeted crash cuts the cycle into a path, stranding sources on the
+        victims at once and leaving the rest to the short round budget."""
+        from repro.scenarios import TargetedChurn
+
+        graph = cycle_graph(24)
+        kwargs = dict(
+            scenario=TargetedChurn(0.1),
+            engine_options={"max_rounds": 8, "on_budget_exhausted": "partial"},
+        )
+        trials, workers, seed = 16, 2, 3
+        merged = MetricsRegistry()
+        with collecting_metrics(merged):
+            run_trials_parallel(
+                graph, "random", "pp", trials=trials, seed=seed,
+                num_workers=workers, **kwargs,
+            )
+        _, plan = chunk_plan(trials, workers, seed)
+        by_path = {"merged": merged.snapshot()["counters"]}
+        for batch in (False, True):
+            local = MetricsRegistry()
+            with collecting_metrics(local):
+                for size, chunk_seed in plan:
+                    run_trials(
+                        graph, "random", "pp", trials=size, seed=chunk_seed,
+                        batch=batch, **kwargs,
+                    )
+            by_path[batch] = local.snapshot()["counters"]
+        for key in TERMINATION_COUNTERS:
+            assert by_path[False].get(key) == by_path[True].get(key), key
+            assert by_path["merged"].get(key) == by_path[True].get(key), key
+        assert by_path[True]["engine.termination.absorbed"] > 0
+        assert by_path[True]["engine.termination.budget"] > 0
+
     def test_parallel_bookkeeping(self):
         graph = cycle_graph(24)
         registry = MetricsRegistry()
@@ -163,9 +208,11 @@ class TestWorkerMerge:
 
 
 class TestAdversaryBudgetCounter:
-    """``scenario.adversary_budget_spent`` is chunking-invariant: budgets
-    are per trial, so serial, batched, and worker-merged parallel runs must
-    report the same total spend for the same seed and trial split."""
+    """``scenario.adversary_budget_spent`` and the stop-reason counters are
+    chunking-invariant: budgets and stop reasons are per trial, so serial,
+    batched, and worker-merged parallel runs must report the same totals
+    for the same seed and trial split.  On the cycle the adaptive crash
+    silences the source in round 1, so every trial ends absorbed."""
 
     def _kwargs(self):
         from repro.scenarios import AdaptiveCrash
@@ -179,15 +226,16 @@ class TestAdversaryBudgetCounter:
 
     def test_batch_and_serial_agree(self):
         graph = cycle_graph(24)
-        spent = {}
+        counters = {}
         for batch in (True, False):
             registry = MetricsRegistry()
             with collecting_metrics(registry):
                 run_trials(graph, 0, "pp", batch=batch, **self._kwargs())
-            spent[batch] = registry.snapshot()["counters"][
-                "scenario.adversary_budget_spent"
-            ]
-        assert spent[True] == spent[False] > 0
+            counters[batch] = registry.snapshot()["counters"]
+        for key in ("scenario.adversary_budget_spent",) + TERMINATION_COUNTERS:
+            assert counters[True].get(key) == counters[False].get(key), key
+        assert counters[True]["scenario.adversary_budget_spent"] > 0
+        assert counters[True]["engine.termination.absorbed"] == 8
 
     def test_worker_merged_equals_single_process(self):
         graph = cycle_graph(24)
@@ -208,8 +256,9 @@ class TestAdversaryBudgetCounter:
                     engine_options=kwargs["engine_options"],
                 )
 
-        key = "scenario.adversary_budget_spent"
-        assert merged.snapshot()["counters"][key] == (
-            local.snapshot()["counters"][key]
-        )
-        assert merged.snapshot()["counters"][key] > 0
+        merged_counters = merged.snapshot()["counters"]
+        local_counters = local.snapshot()["counters"]
+        for key in ("scenario.adversary_budget_spent",) + TERMINATION_COUNTERS:
+            assert merged_counters.get(key) == local_counters.get(key), key
+        assert merged_counters["scenario.adversary_budget_spent"] > 0
+        assert merged_counters["engine.termination.absorbed"] == kwargs["trials"]
