@@ -88,7 +88,7 @@ from repro.scenarios import (
     MessageLoss,
 )
 
-#: Trials per preset; the smoke preset keeps the whole file under ~10 s.
+#: Trials per preset.
 TRIALS = {"smoke": 96, "quick": 256, "full": 768}
 
 GRAPH_SIZE = 1024
@@ -844,13 +844,27 @@ def test_chunked_pooled_clock_view_speedup(bench_preset, bench_record, view):
 # fails if the accessor (or anything guarded by it) ever grows real work
 # on the telemetry-off path — e.g. a registry that defaults on, or an
 # unconditional allocation sneaking ahead of the None check.
+#
+# The two sides cost the same to within a few calls per engine
+# invocation, while one ~0.1 s sample on a shared runner swings by ~10%.
+# So the gate compares interleaved *pairs* (which side runs first
+# alternates, cancelling drift and order effects), gates on the median
+# paired ratio, and keeps adding pairs until the bootstrap CI of that
+# median is narrower than the 2% margin it enforces.
 # --------------------------------------------------------------------- #
-TELEMETRY_ROUNDS = {"smoke": 3, "quick": 5, "full": 7}
+TELEMETRY_GATE = 0.98
+#: (minimum, maximum) interleaved pairs per preset.
+TELEMETRY_PAIRS = {"smoke": (20, 400), "quick": (40, 600), "full": (60, 800)}
+#: Pairs added between two checks of the CI's width.
+TELEMETRY_CHECK_EVERY = 10
 
 
 def test_telemetry_off_overhead(bench_preset, bench_graph, bench_record, monkeypatch):
-    """Telemetry off: within 2% of an accessor-stubbed baseline."""
+    """Telemetry off: the median paired ratio is within 2% of an
+    accessor-stubbed baseline (its CI, narrowed below that margin by
+    adding pairs, is recorded)."""
     from repro.analysis import montecarlo as montecarlo_module
+    from repro.analysis.statistics import bootstrap_median_interval
     from repro.core import batch_engine as batch_engine_module
     from repro.core import protocols as protocols_module
     from repro.core.kernels import jit_backend as jit_module
@@ -859,7 +873,8 @@ def test_telemetry_off_overhead(bench_preset, bench_graph, bench_record, monkeyp
 
     assert current_metrics() is None, "telemetry must be off by default"
     trials = TRIALS[bench_preset]
-    rounds = TELEMETRY_ROUNDS[bench_preset]
+    min_pairs, max_pairs = TELEMETRY_PAIRS[bench_preset]
+    margin = 1.0 - TELEMETRY_GATE
 
     def workload():
         start = time.perf_counter()
@@ -878,34 +893,52 @@ def test_telemetry_off_overhead(bench_preset, bench_graph, bench_record, monkeyp
         jit_module,
     )
 
-    workload()  # warm both engines (flat adjacency cache, allocator)
-    shipped = stubbed = float("inf")
-    # Interleave the two measurements so machine noise (thermal drift, a
-    # background process) hits both sides; best-of-N rejects outliers.
-    for _ in range(rounds):
-        shipped = min(shipped, workload())
+    def stubbed_workload():
         with monkeypatch.context() as patch:
             for module in instrumented:
                 patch.setattr(module, "current_metrics", stub_accessor)
-            stubbed = min(stubbed, workload())
+            return workload()
 
-    speedup = stubbed / shipped  # >= 1 means the shipped accessor is free
+    workload()  # warm both engines (flat adjacency cache, allocator)
+    stubbed_workload()
+    shipped_times, stubbed_times = [], []
+    while True:
+        if len(shipped_times) % 2:
+            stubbed_times.append(stubbed_workload())
+            shipped_times.append(workload())
+        else:
+            shipped_times.append(workload())
+            stubbed_times.append(stubbed_workload())
+        pairs = len(shipped_times)
+        if pairs < max_pairs and (
+            pairs < min_pairs or pairs % TELEMETRY_CHECK_EVERY
+        ):
+            continue
+        ratios = np.array(stubbed_times) / np.array(shipped_times)
+        ci = bootstrap_median_interval(ratios, seed=0)
+        if ci.upper - ci.lower < margin or pairs >= max_pairs:
+            break
+    ratio = ci.value  # >= 1 means the shipped accessor is free
     print(
-        f"\ntelemetry-off {shipped:.4f}s vs stubbed baseline {stubbed:.4f}s "
-        f"for {trials} sync + {max(trials // 4, 8)} async trials, "
-        f"ratio {speedup:.3f}"
+        f"\ntelemetry-off vs stubbed baseline over {ratios.size} interleaved pairs "
+        f"of {trials} sync + {max(trials // 4, 8)} async trials: median paired "
+        f"ratio {ratio:.3f}, 95% CI [{ci.lower:.3f}, {ci.upper:.3f}]"
     )
     bench_record(
         "telemetry_off_overhead",
-        seconds=shipped,
-        speedup=speedup,
-        gate=0.98,
-        baseline_seconds=stubbed,
+        seconds=float(np.median(shipped_times)),
+        speedup=ratio,
+        gate=TELEMETRY_GATE,
+        baseline_seconds=float(np.median(stubbed_times)),
         trials=trials,
+        pairs=int(ratios.size),
+        ci_lower=round(ci.lower, 4),
+        ci_upper=round(ci.upper, 4),
+        ci_within_margin=bool(ci.upper - ci.lower < margin),
     )
-    assert speedup >= 0.98, (
-        f"disabled telemetry costs {(1 - speedup) * 100:.1f}% on the batched "
-        f"hot path ({shipped:.4f}s vs {stubbed:.4f}s stubbed)"
+    assert ratio >= TELEMETRY_GATE, (
+        f"disabled telemetry costs {(1 - ratio) * 100:.1f}% on the batched hot "
+        f"path (median paired ratio, 95% CI [{ci.lower:.3f}, {ci.upper:.3f}])"
     )
 
 

@@ -71,7 +71,7 @@ from repro.scenarios.base import (
     as_scenario,
     select_adversarial_source,
 )
-from repro.telemetry.metrics import current_metrics
+from repro.telemetry.metrics import current_metrics, timer_or_null
 from repro.telemetry.trace import CoverageRecorder, active_trace_collector
 
 __all__ = [
@@ -93,9 +93,11 @@ DEFAULT_BATCH_WIDTH = 256
 AUTO_BATCH_ELEMENT_BUDGET = 4_194_304
 
 #: In ``batch="auto"`` mode, asynchronous protocols only dispatch to the
-#: batched tick loop at this many trials or more: each tick advances every
-#: live trial by one step, so the per-iteration overhead amortizes across
-#: the batch and narrow batches are better served by the serial engine.
+#: batched tick loop at this many trials or more: each loop iteration pays
+#: a fixed array overhead for every informative tick of the slowest trial,
+#: so narrow batches of short, informative-dense trials (a leaf-source
+#: star under ``adaptive-crash``, measured at 32 and 64 trials) are better
+#: served by the serial engine.
 #: (Synchronous rounds amortize over ``n`` vertices as well, so they batch
 #: at any width.)  Explicit ``batch=True``/``batch=<width>`` overrides this.
 ASYNC_AUTO_MIN_TRIALS = 128
@@ -464,54 +466,41 @@ def run_trials(
             collector = None
     metrics = current_metrics()
 
-    if batch is not False:
-        use_batch, reason = batch_dispatch_decision(
-            protocol,
-            options,
-            scenario,
-            batch,
-            trials,
-            fixed_graph=isinstance(graph_or_factory, Graph),
-            trace=trace,
-        )
-        if use_batch:
-            if metrics is not None:
-                with metrics.timer("analysis.batch_seconds"):
-                    sample = _run_trials_batched(
-                        graph_or_factory,
-                        source,
-                        protocol,
-                        trials,
-                        seed,
-                        tuple(fractions),
-                        options,
-                        _resolve_batch_width(batch, graph_or_factory.num_vertices),
-                        scenario,
-                        batch == "pooled",
-                        trace,
-                    )
-                metrics.count("analysis.trials", trials)
-            else:
-                sample = _run_trials_batched(
-                    graph_or_factory,
-                    source,
-                    protocol,
-                    trials,
-                    seed,
-                    tuple(fractions),
-                    options,
-                    _resolve_batch_width(batch, graph_or_factory.num_vertices),
-                    scenario,
-                    batch == "pooled",
-                    trace,
-                )
-            if collector is not None:
-                collector.add(
-                    trace.trace(protocol=protocol, graph_name=sample.graph_name)
-                )
-            return sample
-        if batch != "auto":
-            raise _forced_batch_error(batch, reason)
+    use_batch, reason = batch_dispatch_decision(
+        protocol,
+        options,
+        scenario,
+        batch,
+        trials,
+        fixed_graph=isinstance(graph_or_factory, Graph),
+        trace=trace,
+    )
+    if not use_batch and batch is not False and batch != "auto":
+        raise _forced_batch_error(batch, reason)
+    if metrics is not None:
+        path = ("pooled" if batch == "pooled" else "batched") if use_batch else "serial"
+        metrics.count(f"analysis.dispatch.{path}")
+        metrics.count(f"analysis.dispatch_reason[{reason}]")
+    if use_batch:
+        with timer_or_null(metrics, "analysis.batch_seconds"):
+            sample = _run_trials_batched(
+                graph_or_factory,
+                source,
+                protocol,
+                trials,
+                seed,
+                tuple(fractions),
+                options,
+                _resolve_batch_width(batch, graph_or_factory.num_vertices),
+                scenario,
+                batch == "pooled",
+                trace,
+            )
+        if metrics is not None:
+            metrics.count("analysis.trials", trials)
+        if collector is not None:
+            collector.add(trace.trace(protocol=protocol, graph_name=sample.graph_name))
+        return sample
 
     generators = spawn_generators(trials, seed)
     serial_started = time.perf_counter() if metrics is not None else None

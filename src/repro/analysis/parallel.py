@@ -90,6 +90,7 @@ from repro.telemetry.metrics import (
     MetricsRegistry,
     collecting_metrics,
     current_metrics,
+    timer_or_null,
 )
 from repro.telemetry.trace import CoverageRecorder, active_trace_collector
 
@@ -735,9 +736,7 @@ def run_trials_parallel(
         # metrics registry, when active, sees the chunk directly.
         if metrics is not None:
             metrics.count("parallel.chunks")
-            with metrics.timer("parallel.chunk_seconds"):
-                sample = _run_chunk(specs[0], trace=trace)
-        else:
+        with timer_or_null(metrics, "parallel.chunk_seconds"):
             sample = _run_chunk(specs[0], trace=trace)
         if collector is not None:
             collector.add(

@@ -4,7 +4,7 @@ The experiment tables report, for every (graph, protocol) cell, the mean
 spreading time with a confidence interval, and for every graph a *ratio* of
 two protocols' times (synchronous over asynchronous, push over push–pull,
 ...).  Ratios of Monte Carlo means need their own uncertainty estimate, so
-this module provides bootstrap confidence intervals for means, quantiles and
+this module provides bootstrap confidence intervals for means, medians and
 ratios of means.
 """
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -24,6 +24,7 @@ __all__ = [
     "RatioEstimate",
     "summarize",
     "bootstrap_mean_interval",
+    "bootstrap_median_interval",
     "bootstrap_ratio_of_means",
     "normal_mean_interval",
 ]
@@ -100,6 +101,31 @@ def normal_mean_interval(values: Sequence[float], *, confidence: float = 0.95) -
     return MeanEstimate(mean, mean - half, mean + half, confidence, int(array.size))
 
 
+def _bootstrap_interval(
+    values: Sequence[float],
+    statistic: Callable[..., np.ndarray],
+    confidence: float,
+    num_resamples: int,
+    seed: SeedLike,
+) -> MeanEstimate:
+    """``statistic`` of ``values`` with a percentile-bootstrap interval."""
+    if not 0.0 < confidence < 1.0:
+        raise AnalysisError(f"confidence must be in (0, 1), got {confidence}")
+    if num_resamples < 100:
+        raise AnalysisError("num_resamples should be at least 100 for a stable interval")
+    array = _validate_sample(values, "values")
+    rng = as_generator(seed)
+    value = float(statistic(array))
+    if array.size < 2:
+        return MeanEstimate(value, value, value, confidence, int(array.size))
+    indices = rng.integers(0, array.size, size=(num_resamples, array.size))
+    resampled = statistic(array[indices], axis=1)
+    alpha = 1.0 - confidence
+    lower = float(np.quantile(resampled, alpha / 2.0))
+    upper = float(np.quantile(resampled, 1.0 - alpha / 2.0))
+    return MeanEstimate(value, lower, upper, confidence, int(array.size))
+
+
 def bootstrap_mean_interval(
     values: Sequence[float],
     *,
@@ -108,21 +134,22 @@ def bootstrap_mean_interval(
     seed: SeedLike = None,
 ) -> MeanEstimate:
     """Mean with a percentile-bootstrap confidence interval."""
-    if not 0.0 < confidence < 1.0:
-        raise AnalysisError(f"confidence must be in (0, 1), got {confidence}")
-    if num_resamples < 100:
-        raise AnalysisError("num_resamples should be at least 100 for a stable interval")
-    array = _validate_sample(values, "values")
-    rng = as_generator(seed)
-    mean = float(np.mean(array))
-    if array.size < 2:
-        return MeanEstimate(mean, mean, mean, confidence, int(array.size))
-    indices = rng.integers(0, array.size, size=(num_resamples, array.size))
-    resample_means = array[indices].mean(axis=1)
-    alpha = 1.0 - confidence
-    lower = float(np.quantile(resample_means, alpha / 2.0))
-    upper = float(np.quantile(resample_means, 1.0 - alpha / 2.0))
-    return MeanEstimate(mean, lower, upper, confidence, int(array.size))
+    return _bootstrap_interval(values, np.mean, confidence, num_resamples, seed)
+
+
+def bootstrap_median_interval(
+    values: Sequence[float],
+    *,
+    confidence: float = 0.95,
+    num_resamples: int = 2000,
+    seed: SeedLike = None,
+) -> MeanEstimate:
+    """Median with a percentile-bootstrap confidence interval.
+
+    The robust choice for heavy-tailed samples such as paired timing
+    ratios on a shared machine (``value`` is the sample median).
+    """
+    return _bootstrap_interval(values, np.median, confidence, num_resamples, seed)
 
 
 def bootstrap_ratio_of_means(

@@ -965,8 +965,11 @@ def run_asynchronous_batch(
     """Simulate a batch of asynchronous trials under the ``"global"`` view.
 
     Every trial carries its own exponential time accumulator (the rate-``n``
-    global Poisson clock) and every loop iteration advances all live trials
-    by one tick, with the contact exchange vectorised across trials.
+    global Poisson clock), with the contact exchange vectorised across
+    trials.  How far one loop iteration advances a trial is the backend's
+    business: the numpy loop moves each live trial straight to its next
+    informative contact (the uninformative ticks in between are counted
+    but change nothing), while the jit loop steps tick by tick.
     Per-trial randomness is drawn from ``rngs[i]`` in chunks of the same
     sizes and order as the serial
     :func:`~repro.core.async_engine.run_asynchronous` global view, so

@@ -10,11 +10,17 @@ two interchangeable implementations:
 
 ``numpy``
     :mod:`repro.core.kernels.numpy_backend` — the reference vectorised
-    kernels, extracted verbatim from the engine.  Always available.
+    kernels.  Always available.  Its async tick loop skips ahead: each
+    iteration scans a short window of every live trial's buffered contacts
+    and jumps to the first one that can inform anyone, so it pays array
+    overhead per informative tick rather than per tick.
 ``jit``
     :mod:`repro.core.kernels.jit_backend` — Numba ``@njit(cache=True)``
     loops over the CSR ``indptr``/``indices`` arrays, per trial and per
-    vertex, with no full-width ``(B, n)`` temporaries.  Requires the
+    vertex, with no full-width ``(B, n)`` temporaries.  Its async loop
+    deliberately stays per-tick: compiled, a tick is a handful of scalar
+    operations with no per-iteration array overhead for a scan to
+    amortise.  Requires the
     ``jit`` install extra (``pip install -e .[jit]``); without numba the
     resolver falls back to ``numpy`` with a one-time warning.
 ``auto``

@@ -16,7 +16,7 @@ are deterministic given it, so:
   generator mid-column, which a nopython loop cannot).
 * The **pooled async global view** agrees in distribution only: this
   backend drains the shared generator trial by trial, reordering its
-  consumption relative to the numpy loop's lockstep refills.
+  consumption relative to the numpy loop's refill order.
 
 The asynchronous drain returns control to Python with a per-trial status
 code whenever a trial needs something a nopython region cannot do — a

@@ -1,16 +1,22 @@
-"""Reference NumPy kernels, extracted verbatim from the batch engine.
+"""Reference NumPy kernels: the batch engine's vectorised hot loops.
 
-These are the vectorised hot loops that :mod:`repro.core.batch_engine`
-shipped with before the backend split — every array trick (narrow-dtype
-gathers, ``casting="unsafe"`` contact arithmetic, preallocated round
-buffers, the scalar refill countdown) is preserved, so ``backend="numpy"``
-is bit-for-bit the engine's historical behaviour.  The one upgrade is the
-asynchronous tick loop, which now *compacts* retired trials out of its
-working set (as the synchronous kernel always did) instead of masking
-them; the compaction is order-preserving and threshold-triggered, so the
-event sequence — and therefore every RNG draw, pooled modes included — is
-unchanged while straggler-dominated workloads stop paying full-batch
-gathers per tick.
+The synchronous round step keeps the engine's historical array tricks
+(narrow-dtype gathers, ``casting="unsafe"`` contact arithmetic,
+preallocated round buffers).  The asynchronous tick loop differs from a
+plain one-tick-per-iteration loop in two ways, neither of which changes a
+draw or a result in the per-trial modes:
+
+* it *compacts* retired trials out of its working set (order-preserving
+  and threshold-triggered) instead of masking them, so straggler-dominated
+  workloads stop paying full-batch gathers per tick;
+* it *skips ahead*: each iteration moves every live trial straight to its
+  next informative contact (or boundary / over-time tick), since the
+  contacts in between cannot change any state.
+
+In the pooled mode the trials advance at different rates, so their buffers
+refill in a different order than a lockstep loop's and the shared stream
+reaches them in a different order: that mode is pinned in distribution
+only (and stays reproducible for a given seed).
 """
 
 from __future__ import annotations
@@ -32,6 +38,37 @@ BACKEND_NAME = "numpy"
 #: threshold keeps the total copy volume linear in the batch size instead
 #: of quadratic under one-at-a-time straggler retirement.
 _COMPACT_MIN_RETIRED = 32
+
+#: The widths (buffered contacts per live row) the async loop's scan for
+#: the next informative tick chooses from, iteration by iteration.
+_WINDOWS = (1, 2, 4, 8, 16, 32, 64)
+
+#: Cost model of one scan iteration, in units of one scanned slot of one
+#: row: a fixed per-iteration overhead (the ~100 array calls) shared by the
+#: live rows, plus the selected tick's body per row.  Fitted on a 2-CPU
+#: x86 box over n = 256..1024 random regular graphs, 24..1024 trials; only
+#: the speed depends on it, never a result.
+_ITERATION_OVERHEAD = 1100.0
+_BODY_COST = 2.0
+
+
+def _window_width(rows: int, hit_rate: float) -> int:
+    """The scan width with the least expected cost per tick advanced.
+
+    With informative contacts at rate ``hit_rate`` a row scanning ``w``
+    slots advances ``(1 - (1 - hit_rate) ** w) / hit_rate`` ticks, for an
+    iteration cost of ``_ITERATION_OVERHEAD / rows + _BODY_COST + w`` per
+    row: wide windows pay off for few rows and rare informative contacts,
+    narrow ones for wide batches mid-spread.
+    """
+    miss = 1.0 - hit_rate
+    fixed = _ITERATION_OVERHEAD / rows + _BODY_COST
+    best, best_cost = _WINDOWS[-1], np.inf
+    for width in _WINDOWS:
+        advance = 1.0 - miss**width
+        if advance > 0.0 and (fixed + width) / advance < best_cost:
+            best, best_cost = width, (fixed + width) / advance
+    return best
 
 
 def warmup() -> None:
@@ -202,13 +239,27 @@ def sync_round_step_dynamic(
 def async_tick_loop(state: "AsyncState") -> None:
     """Drain an :class:`~repro.core.kernels.AsyncState` to completion.
 
-    The engine's flattened tick loop, with retired trials *compacted* out
-    of the working set instead of masked: row ``i`` of the local buffer
-    arrays belongs to trial ``ids[i]``, and whenever at least half of the
-    local rows (and at least ``_COMPACT_MIN_RETIRED`` of them) have
-    retired, the survivors are copied down.  Compaction preserves row
-    order, so every refill and boundary crossing fires in the same
-    sequence as before — pooled-mode draws included.  Per-trial outputs
+    Each iteration advances every live trial to its *next informative
+    tick*, not by one tick.  A row scans its next few buffered contacts
+    (:func:`_window_width` picks how many) against its current informed
+    set and stops at the first contact with exactly the endpoint pattern
+    the mode can use (push–pull: one endpoint informed; push: caller
+    informed, callee not; pull: the reverse), at the first tick reaching
+    its pending epoch/resample boundary, at the first tick past
+    ``max_time``, or at its buffer end.
+    The contacts before that one change nothing — loss, crashes and the
+    adaptive jammer only ever suppress informative contacts — so the loop
+    moves ``positions`` and ``now`` past them (``now`` by a sequential
+    cumulative sum, bit-identical to the serial ``now += gap``) and runs
+    the one selected tick through the boundary / loss / up-mask / jam /
+    exchange / retire body.  Every draw is the one the serial engine
+    makes, in its order, so the per-trial modes stay bit-identical.
+
+    Retired trials are *compacted* out of the working set instead of
+    masked: row ``i`` of the local buffer arrays belongs to trial
+    ``ids[i]``, and whenever at least half of the local rows (and at least
+    ``_COMPACT_MIN_RETIRED`` of them) have retired, the survivors are
+    copied down, in order.  Per-trial outputs
     (``informed`` / ``times`` / ``steps`` / ``completed`` / …) stay
     absolute; ``steps`` is recorded at each trial's retirement.  A trial
     retires at the end of the tick that brings its informed count to its
@@ -308,57 +359,53 @@ def async_tick_loop(state: "AsyncState") -> None:
     # Telemetry is observational only: deliveries are counted from informed
     # deltas the loop computes anyway, so no draw order or state changes.
     metrics = current_metrics()
-    # Every live trial consumes exactly one buffered draw per iteration, so
-    # the earliest possible refill is a scalar countdown — the loop skips
-    # the per-iteration buffer-exhaustion scan entirely until it reaches 0.
-    ticks_until_refill = 0
     # Index bases derived from `rows` (flat positions into the local
     # buffers and the absolute (B, n) state), recomputed only when the
     # live set changes.
     pos_base = row_base = w_base = abs_rows = None
     tg_width = trial_graphs.width if trial_graphs is not None else None
+    windows = {width: np.arange(width, dtype=np.int64)[:, None] for width in _WINDOWS}
+    column = np.arange(0, dtype=np.int64)
+    # Decaying counts of scan stops and scanned slots: the running estimate
+    # of the informative-contact rate the window width is chosen for.
+    stops_seen, slots_seen = 1.0, 16.0
     while rows.size:
-        if ticks_until_refill <= 0:
-            at_boundary = positions.take(rows) >= buffer_lengths.take(rows)
-            if at_boundary.any():
-                if metrics is not None:
-                    metrics.count("engine.drain_returns", int(at_boundary.sum()))
-                for l in rows[at_boundary]:
-                    # The exhausted chunk moves into the retired-tick count
-                    # whether or not the trial goes on; `positions` always
-                    # restarts from the head of the (possibly new) buffer.
-                    chunk_base[l] += buffer_lengths[l]
-                    positions[l] = 0
-                    buffer_lengths[l] = 0
-                    remaining = step_budget - int(chunk_base[l])
-                    if remaining <= 0:
-                        trial = int(ids[l])
-                        live[trial] = False
-                        steps_out[trial] = chunk_base[l]
-                        alive[l] = False
-                        retired += 1
-                        continue
-                    chunk = min(chunk_size, remaining)
-                    rng = pooled_rng if pooled_rng is not None else local_gens[l]
-                    state.draw_chunk(
-                        rng, int(ids[l]), chunk, l,
-                        gaps, callers, nbr_uniforms, loss_uniforms,
-                    )
-                    buffer_lengths[l] = chunk
-                    positions[l] = 0
-                keep_mask = alive[rows]
-                if not keep_mask.all():
-                    rows = rows[keep_mask]
-                    pos_base = None
-                    if rows.size and _compact_due():
-                        _compact()
-                        rows = np.flatnonzero(alive)
-                if rows.size == 0:
-                    break
-            ticks_until_refill = int(
-                (buffer_lengths.take(rows) - positions.take(rows)).min()
-            )
-        ticks_until_refill -= 1
+        at_boundary = positions.take(rows) >= buffer_lengths.take(rows)
+        if at_boundary.any():
+            if metrics is not None:
+                metrics.count("engine.drain_returns", int(at_boundary.sum()))
+            for l in rows[at_boundary]:
+                # The exhausted chunk moves into the retired-tick count
+                # whether or not the trial goes on; `positions` always
+                # restarts from the head of the (possibly new) buffer.
+                chunk_base[l] += buffer_lengths[l]
+                positions[l] = 0
+                buffer_lengths[l] = 0
+                remaining = step_budget - int(chunk_base[l])
+                if remaining <= 0:
+                    trial = int(ids[l])
+                    live[trial] = False
+                    steps_out[trial] = chunk_base[l]
+                    alive[l] = False
+                    retired += 1
+                    continue
+                chunk = min(chunk_size, remaining)
+                rng = pooled_rng if pooled_rng is not None else local_gens[l]
+                state.draw_chunk(
+                    rng, int(ids[l]), chunk, l,
+                    gaps, callers, nbr_uniforms, loss_uniforms,
+                )
+                buffer_lengths[l] = chunk
+                positions[l] = 0
+            keep_mask = alive[rows]
+            if not keep_mask.all():
+                rows = rows[keep_mask]
+                pos_base = None
+                if rows.size and _compact_due():
+                    _compact()
+                    rows = np.flatnonzero(alive)
+            if rows.size == 0:
+                break
 
         if pos_base is None:
             pos_base = rows * chunk_size
@@ -367,15 +414,82 @@ def async_tick_loop(state: "AsyncState") -> None:
             if trial_graphs is not None:
                 tg_width = trial_graphs.width
                 w_base = abs_rows * tg_width
+        m = rows.size
+        if column.size != m:
+            column = np.arange(m, dtype=np.int64)
+        width = _window_width(m, stops_seen / slots_seen)
+        window = windows[width]
 
+        # Scan each row's next `width` buffered contacts (clamped to its
+        # buffer end) against the current informed set.  Until the first
+        # informative contact nothing can change: loss, crashes and the
+        # jammer only ever suppress informative contacts.  The scan also
+        # stops at the first tick that reaches the row's pending boundary
+        # or passes the time budget, so the body below sees every boundary
+        # crossing and over-time tick exactly where the serial engine does.
+        # Slot j of row i sits at [j, i]: every reduction runs down axis 0,
+        # vectorised across the rows.
         cursor = positions.take(rows)
-        pos = pos_base + cursor
-        gap = gaps_flat.take(pos, mode="clip")
-        caller = callers_flat.take(pos, mode="clip")
-        uniform = nbr_flat.take(pos, mode="clip")
-        loss_u = loss_flat.take(pos, mode="clip") if loss_flat is not None else None
-        positions[rows] = cursor + 1
-        tick_time = now.take(rows) + gap
+        head = pos_base + cursor
+        last = head + (buffer_lengths.take(rows) - cursor - 1)
+        scan = np.minimum(head + window, last)
+        caller_w = callers_flat.take(scan, mode="clip")
+        uniform_w = nbr_flat.take(scan, mode="clip")
+        caller_pos_w = row_base + caller_w
+        if trial_graphs is not None:
+            if trial_graphs.width != tg_width:  # a resample grew the pad
+                tg_width = trial_graphs.width
+                w_base = abs_rows * tg_width
+            callee_w = trial_graphs.callees_at(caller_pos_w, w_base, uniform_w)
+        else:
+            offsets = (uniform_w * degrees_nw.take(caller_w, mode="clip")).astype(
+                np.int64
+            )
+            np.minimum(offsets, max_offset_nw.take(caller_w, mode="clip"), out=offsets)
+            offsets += start_nw.take(caller_w, mode="clip")
+            callee_w = indices_nw.take(offsets, mode="clip")
+        caller_informed_w = informed_flat.take(caller_pos_w, mode="clip")
+        callee_informed_w = informed_flat.take(row_base + callee_w, mode="clip")
+        if mode_pp:
+            stop = caller_informed_w != callee_informed_w
+        elif push_allowed:
+            stop = caller_informed_w > callee_informed_w
+        else:
+            stop = caller_informed_w < callee_informed_w
+        # Tick times as the serial engine forms them, one `now += gap` at a
+        # time: add.accumulate sums each row strictly in slot order.
+        clock = np.empty((width + 1, m))
+        clock[0] = now.take(rows)
+        gaps_flat.take(scan, out=clock[1:], mode="clip")
+        np.cumsum(clock, axis=0, out=clock)
+        tick_w = clock[1:]
+        if finite_time_budget and float(clock[-1].max()) > time_budget:
+            stop |= tick_w > time_budget
+        if has_boundaries and float(clock[-1].max()) >= boundary_floor:
+            if next_epoch is None:
+                bound = next_resample.take(abs_rows)
+            elif next_resample is None:
+                bound = next_epoch.take(abs_rows)
+            else:
+                bound = np.minimum(
+                    next_epoch.take(abs_rows), next_resample.take(abs_rows)
+                )
+            stop |= tick_w >= bound
+        # The selected tick: the first stop, else the window's last contact
+        # (uninformative, so executing it below changes nothing).
+        skip = np.where(stop, window, width - 1).min(axis=0)
+        np.minimum(skip, last - head, out=skip)
+        picked = skip * m + column
+        stops_seen = 0.75 * stops_seen + np.count_nonzero(stop.take(picked))
+        slots_seen = 0.75 * slots_seen + float(skip.sum()) + m
+        tick_time = clock.take(picked + m)
+        caller = caller_w.take(picked)
+        uniform = uniform_w.take(picked)
+        callee = callee_w.take(picked)
+        caller_informed = caller_informed_w.take(picked)
+        callee_informed = callee_informed_w.take(picked)
+        loss_u = loss_flat.take(head + skip, mode="clip") if loss_flat is not None else None
+        positions[rows] = cursor + skip + 1
         now[rows] = tick_time
 
         if finite_time_budget:
@@ -396,6 +510,9 @@ def async_tick_loop(state: "AsyncState") -> None:
                 if w_base is not None:
                     w_base = w_base[keep]
                 caller = caller[keep]
+                callee = callee[keep]
+                caller_informed = caller_informed[keep]
+                callee_informed = callee_informed[keep]
                 uniform = uniform[keep]
                 tick_time = tick_time[keep]
                 if loss_u is not None:
@@ -455,20 +572,14 @@ def async_tick_loop(state: "AsyncState") -> None:
             else None
         )
 
-        caller_pos = row_base + caller
         if trial_graphs is not None:
+            # A resample at this tick replaced the trial's graph: draw the
+            # callee from the graph the tick actually sees.
             if trial_graphs.width != tg_width:  # a resample grew the pad
                 tg_width = trial_graphs.width
                 w_base = abs_rows * tg_width
-            callee = trial_graphs.callees_at(caller_pos, w_base, uniform)
-        else:
-            offsets = (uniform * degrees_nw.take(caller, mode="clip")).astype(np.int64)
-            np.minimum(offsets, max_offset_nw.take(caller, mode="clip"), out=offsets)
-            offsets += start_nw.take(caller, mode="clip")
-            callee = indices_nw.take(offsets, mode="clip")
-
-        caller_informed = informed_flat.take(caller_pos, mode="clip")
-        callee_informed = informed_flat.take(row_base + callee, mode="clip")
+            callee = trial_graphs.callees_at(row_base + caller, w_base, uniform)
+            callee_informed = informed_flat.take(row_base + callee, mode="clip")
         # One contact per trial per tick, so the exchange vectorises with no
         # intra-iteration conflicts: push informs the callee, pull informs
         # the caller, and in push-pull exactly the uninformed endpoint of an

@@ -35,6 +35,11 @@ Metric name conventions used by the built-in instrumentation:
 ``engine.kernel_invocations``             batched kernel entries
 ``engine.drain_returns``                  status-code drain exits (jit loop)
 ``analysis.trials``                       Monte Carlo trials completed
+``analysis.dispatch.<path>``              ``run_trials`` calls (pool chunks
+                                          included) by path: ``batched``,
+                                          ``pooled`` or ``serial``
+``analysis.dispatch_reason[<reason>]``    the same calls keyed by the reason
+                                          ``batch_dispatch_decision`` gave
 ``analysis.batch_seconds`` (timer)        wall time inside the batched path
 ``analysis.serial_seconds`` (timer)       wall time inside the serial path
 ``parallel.chunks``                       pool chunks dispatched
@@ -56,7 +61,7 @@ Metric name conventions used by the built-in instrumentation:
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager, nullcontext
 from typing import Iterator, Optional
 
 __all__ = [
@@ -65,6 +70,7 @@ __all__ = [
     "enable_metrics",
     "disable_metrics",
     "collecting_metrics",
+    "timer_or_null",
 ]
 
 
@@ -167,6 +173,14 @@ def disable_metrics() -> Optional[MetricsRegistry]:
     global _ACTIVE
     registry, _ACTIVE = _ACTIVE, None
     return registry
+
+
+def timer_or_null(
+    registry: Optional[MetricsRegistry], name: str
+) -> AbstractContextManager[None]:
+    """``registry.timer(name)``, or a context that does nothing when
+    collection is off (``registry is None``)."""
+    return nullcontext() if registry is None else registry.timer(name)
 
 
 @contextmanager

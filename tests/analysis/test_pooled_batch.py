@@ -48,10 +48,11 @@ BACKENDS = [
 
 
 class TestPooledDispatch:
-    def test_pooled_runs_and_is_reproducible(self):
+    @pytest.mark.parametrize("protocol", ["pp", "pp-a"])
+    def test_pooled_runs_and_is_reproducible(self, protocol):
         graph = complete_graph(24)
-        a = run_trials(graph, 0, "pp", trials=40, seed=9, batch="pooled")
-        b = run_trials(graph, 0, "pp", trials=40, seed=9, batch="pooled")
+        a = run_trials(graph, 0, protocol, trials=40, seed=9, batch="pooled")
+        b = run_trials(graph, 0, protocol, trials=40, seed=9, batch="pooled")
         assert a.num_trials == 40
         assert a.times == b.times  # same seed -> same pooled stream
 

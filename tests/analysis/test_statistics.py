@@ -7,6 +7,7 @@ import pytest
 
 from repro.analysis.statistics import (
     bootstrap_mean_interval,
+    bootstrap_median_interval,
     bootstrap_ratio_of_means,
     normal_mean_interval,
     summarize,
@@ -67,6 +68,23 @@ class TestBootstrapMeanInterval:
             bootstrap_mean_interval([1.0, 2.0], num_resamples=10)
         with pytest.raises(AnalysisError):
             bootstrap_mean_interval([1.0, 2.0], confidence=0.0)
+
+
+class TestBootstrapMedianInterval:
+    def test_brackets_the_median_and_ignores_outliers(self):
+        rng = np.random.default_rng(5)
+        values = np.concatenate([rng.normal(1.0, 0.01, 200), [50.0, 80.0]])
+        estimate = bootstrap_median_interval(values, seed=2)
+        assert estimate.value == pytest.approx(float(np.median(values)))
+        assert estimate.lower <= estimate.value <= estimate.upper
+        assert estimate.upper - estimate.lower < 0.01
+        assert estimate.num_samples == 202
+
+    def test_single_observation_and_validation(self):
+        estimate = bootstrap_median_interval([2.0])
+        assert estimate.value == estimate.lower == estimate.upper == 2.0
+        with pytest.raises(AnalysisError):
+            bootstrap_median_interval([1.0, 2.0], num_resamples=10)
 
 
 class TestRatioOfMeans:

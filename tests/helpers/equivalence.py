@@ -80,7 +80,8 @@ __all__ = [
 # Assertion helpers
 # --------------------------------------------------------------------- #
 def assert_batch_matches_serial(
-    graph, sources, protocol, seed, *, scenario=None, backend=None, **options
+    graph, sources, protocol, seed, *, scenario=None, backend=None,
+    record_times=True, **options
 ):
     """Batched kernel vs per-trial serial engine, trial-for-trial.
 
@@ -90,25 +91,30 @@ def assert_batch_matches_serial(
     the offending trial index — so both paths must also stop on the same
     round or tick.  ``backend`` selects the kernel backend for the batched
     side (the serial side ignores it), so the same gate pins every backend
-    to the one serial reference.
+    to the one serial reference.  With ``record_times=False`` the batched
+    side runs without its informing-time matrix and every other field is
+    still compared.
     """
-    if backend is not None:
-        options = {**options, "backend": backend}
     batched = run_batch(
         graph,
         sources,
         protocol,
         rngs=spawn_generators(len(sources), seed),
         scenario=scenario,
+        record_times=record_times,
         **options,
+        **({} if backend is None else {"backend": backend}),
     )
     for i, rng in enumerate(spawn_generators(len(sources), seed)):
         serial = spread(
             graph, sources[i], protocol=protocol, seed=rng, scenario=scenario, **options
         )
-        assert tuple(batched.informed_time[i]) == serial.informed_time, (
-            f"trial {i} of {protocol} on {graph.name} diverged from the serial engine"
-        )
+        if not record_times:
+            assert batched.informed_time is None
+        else:
+            assert tuple(batched.informed_time[i]) == serial.informed_time, (
+                f"trial {i} of {protocol} on {graph.name} diverged from the serial engine"
+            )
         assert bool(batched.completed[i]) == serial.completed
         assert batched.completion_time[i] == serial.spreading_time
         assert batched.termination[i] == serial.termination, (

@@ -262,3 +262,43 @@ class TestAdversaryBudgetCounter:
             assert merged_counters.get(key) == local_counters.get(key), key
         assert merged_counters["scenario.adversary_budget_spent"] > 0
         assert merged_counters["engine.termination.absorbed"] == kwargs["trials"]
+
+
+# --------------------------------------------------------------------- #
+# Dispatch: every run_trials call records its path and the reason
+# --------------------------------------------------------------------- #
+def test_auto_async_serial_fallback_records_its_reason():
+    from repro.analysis.montecarlo import ASYNC_AUTO_MIN_TRIALS, batch_dispatch_decision
+
+    trials = 32
+    assert trials < ASYNC_AUTO_MIN_TRIALS
+    use_batch, reason = batch_dispatch_decision("pp-a", {}, None, "auto", trials)
+    assert not use_batch
+    with collecting_metrics() as registry:
+        run_trials(cycle_graph(12), 0, "pp-a", trials=trials, seed=3)
+    counters = registry.snapshot()["counters"]
+    assert counters["analysis.dispatch.serial"] == 1
+    assert counters[f"analysis.dispatch_reason[{reason}]"] == 1
+    assert "analysis.dispatch.batched" not in counters
+
+
+@pytest.mark.parametrize(
+    ("batch", "path"), [(True, "batched"), ("pooled", "pooled"), (False, "serial")]
+)
+def test_every_dispatch_path_is_counted(batch, path):
+    with collecting_metrics() as registry:
+        run_trials(cycle_graph(12), 0, "pp", trials=4, seed=3, batch=batch)
+        run_trials(cycle_graph(12), 0, "pp-a", trials=4, seed=3, batch=batch)
+    counters = registry.snapshot()["counters"]
+    assert counters[f"analysis.dispatch.{path}"] == 2
+    reasons = [name for name in counters if name.startswith("analysis.dispatch_reason[")]
+    assert sum(counters[name] for name in reasons) == 2
+
+
+def test_worker_chunks_merge_their_dispatch_records():
+    with collecting_metrics() as registry:
+        run_trials_parallel(
+            cycle_graph(12), 0, "pp-a", trials=8, seed=5, num_workers=2,
+        )
+    counters = registry.snapshot()["counters"]
+    assert counters["analysis.dispatch.serial"] == 2  # two 4-trial auto chunks
