@@ -39,7 +39,7 @@ The PR-4 gates cover the zero-copy parallel layer and the pooled clock-view
 fast path:
 
 * ``test_shared_sweep_speedup_over_per_call_executor`` runs a 16-point
-  sweep through ``run_trials_parallel(parallel="shared")`` on the session's
+  sweep through ``run_trials_parallel`` (shared-memory results) on the session's
   persistent pool and asserts >= 3x the frozen pre-PR-4 baseline (a fresh
   ``ProcessPoolExecutor`` per grid point, graph pickled into every chunk,
   samples pickled back, pairwise ``merged_with`` chain) — while checking
@@ -724,7 +724,6 @@ def test_shared_sweep_speedup_over_per_call_executor(bench_preset, bench_record)
                 trials=trials,
                 seed=1000 + point,
                 num_workers=SWEEP_WORKERS,
-                parallel="shared",
             )
             for point, graph in enumerate(graphs)
         ]

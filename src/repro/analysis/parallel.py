@@ -9,30 +9,20 @@ seed *before* dispatch, so the merged sample is identical in distribution
 (though not in order) to a serial run with the same total number of trials,
 and fully reproducible for a fixed ``(seed, trials, num_workers)`` triple.
 
-Two transports are available via the ``parallel`` argument, bit-identical
-to each other for the same ``(seed, trials, num_workers)``:
-
-* ``"shared"`` (default) — the zero-copy path.  The parent owns the
-  ``(trials,)`` spreading-time vector (and the ``(trials, len(fractions))``
-  coverage matrix) in :mod:`multiprocessing.shared_memory`; each worker
-  writes its chunk's rows directly at its offset, so merging is a single
-  array view instead of pickling samples back.  When an explicit
-  :class:`~repro.graphs.base.Graph` is passed, its CSR adjacency arrays are
-  placed in one shared segment per graph (cached across calls) and workers
-  reattach them by name — the graph is never re-pickled per chunk, and the
-  reattached arrays feed the batch kernels zero-copy.
-* ``"pickle"`` — the legacy transport: the graph is pickled into every
-  chunk spec and every worker pickles its whole
-  :class:`~repro.analysis.montecarlo.SpreadingTimeSample` back through the
-  executor.  Kept as the equivalence reference and benchmark baseline.
+Results travel through shared memory.  The parent owns the ``(trials,)``
+spreading-time vector (and the ``(trials, len(fractions))`` coverage
+matrix) in :mod:`multiprocessing.shared_memory`; each worker writes its
+chunk's rows directly at its offset, so merging is a single array view
+instead of pickling samples back.  The graph's CSR adjacency arrays are
+placed in one shared segment per graph (cached across calls) and workers
+reattach them by name — the graph is never pickled per chunk, and the
+reattached arrays feed the batch kernels zero-copy.
 
 Graphs given as a named family are built **once in the parent** from the
 plan's shared graph seed and served to the workers through the same
-shared-memory CSR segment as explicit graphs (on the ``"shared"``
-transport); the ``"pickle"`` transport and the degenerate one-chunk path
-still rebuild from the family registry inside the worker.  Both are
-bit-identical: the worker-side rebuild used the identical
-``(family, size, graph_seed)`` triple.
+shared-memory CSR segment as explicit graphs; the degenerate one-chunk
+path, which runs in-process, builds from the family registry with the
+identical ``(family, size, graph_seed)`` triple.
 
 **Fault tolerance.**  Chunk execution survives misbehaving workers: every
 chunk is retried with exponential backoff when its worker crashes, raises,
@@ -100,10 +90,6 @@ __all__ = [
     "default_worker_count",
     "chunk_plan",
 ]
-
-#: Accepted values of the ``parallel`` transport argument.
-PARALLEL_MODES = ("shared", "pickle")
-
 
 def default_worker_count() -> int:
     """Number of worker processes to use by default.
@@ -182,11 +168,10 @@ class ParallelTrialSpec:
     Attributes:
         family_name: name of a registered graph family (mutually exclusive
             with ``graph``); the worker builds the graph itself.
-        graph: an explicit graph to run on (pickled to the worker — the
-            ``"pickle"`` transport).
+        graph: an explicit graph to run on (the in-process one-chunk path;
+            pool dispatch swaps it for ``graph_shm``).
         graph_shm: name of a shared-memory CSR segment to reattach the
-            graph from (the ``"shared"`` transport; mutually exclusive with
-            ``graph``/``family_name``).
+            graph from (mutually exclusive with ``graph``/``family_name``).
         graph_display_name: display name restored onto the reattached graph.
         size: family size to build (required with ``family_name``).
         graph_seed: seed for building random-family graphs.
@@ -209,8 +194,7 @@ class ParallelTrialSpec:
         collect_metrics: run the chunk under a private worker-local
             :class:`~repro.telemetry.metrics.MetricsRegistry` and return its
             snapshot with the chunk metadata, so the parent can merge the
-            workers' counters into its own registry (the shared transport's
-            chunk-return path).
+            workers' counters into its own registry.
     """
 
     protocol: str
@@ -232,7 +216,7 @@ class ParallelTrialSpec:
 
 @dataclass(frozen=True)
 class _SharedChunkSpec:
-    """One chunk of the shared transport: where in the shared matrices to write.
+    """One pool-dispatched chunk: where in the shared matrices to write.
 
     ``times_name``/``fractions_name``/``coverage_name`` are segment names
     from :func:`repro.analysis.shm.create_array`; the worker writes its
@@ -256,7 +240,7 @@ class _SharedChunkSpec:
 
 
 def _resolve_chunk_graph(spec: ParallelTrialSpec) -> Graph:
-    """Materialise the chunk's graph from whichever transport carried it."""
+    """Materialise the chunk's graph from whichever field carries it."""
     if spec.graph is not None:
         return spec.graph
     if spec.graph_shm is not None:
@@ -289,7 +273,7 @@ def _run_chunk(
 def _run_chunk_shared(
     shared: _SharedChunkSpec,
 ) -> tuple[str, int, int, Optional[dict]]:
-    """Shared-transport worker entry point.
+    """Pool worker entry point.
 
     Runs the chunk, writes its spreading times (and coverage fractions /
     per-vertex informing times) directly into the parent-owned shared
@@ -347,11 +331,11 @@ def chunk_plan(
 
     This is the one place the parallel chunking policy lives — including
     the bit-compatibility-critical ``min(workers, trials)`` clamp, which
-    changes how many seeds are spawned: both transports and the
+    changes how many seeds are spawned: the pool dispatch and the
     equivalence harness (which replays the chunks through serial
     :func:`~repro.analysis.montecarlo.run_trials` calls) derive the same
     plan from the same ``(trials, workers, seed)`` triple, which is what
-    makes the three paths bit-identical.
+    makes the two paths bit-identical.
     """
     workers = min(int(workers), int(trials))
     graph_seed, *chunk_seeds = spawn_seeds(workers + 1, seed)
@@ -521,7 +505,7 @@ def _execute_shared(
     num_vertices: Optional[int] = None,
     trace: Optional[CoverageRecorder] = None,
 ) -> SpreadingTimeSample:
-    """Dispatch the chunks through the zero-copy shared-memory transport."""
+    """Dispatch the chunks to the pool, results landing in shared memory."""
     times_segment = times = frac_segment = fraction_matrix = None
     cov_segment = coverage = None
     times_pooled = frac_pooled = cov_pooled = True
@@ -532,7 +516,7 @@ def _execute_shared(
                 "fractions", (trials, len(fractions))
             )
         if trace is not None:
-            # The (trials, n) informing-time matrix rides the same transport
+            # The (trials, n) informing-time matrix rides the same path
             # as the result arrays: each worker fills its chunk's rows and
             # the parent ingests the assembled block below.
             cov_segment, coverage, cov_pooled = shm.result_array(
@@ -591,7 +575,6 @@ def run_trials_parallel(
     batch: Union[bool, int, str] = "auto",
     scenario: ScenarioLike = None,
     engine_options: Optional[dict] = None,
-    parallel: str = "shared",
     trace: Optional[CoverageRecorder] = None,
 ) -> SpreadingTimeSample:
     """Run ``trials`` independent simulations across worker processes.
@@ -621,23 +604,17 @@ def run_trials_parallel(
             every trial in every worker.
         engine_options: extra engine options forwarded to every chunk's
             ``run_trials`` call (e.g. ``{"view": "edge_clocks"}``).
-        parallel: result transport — ``"shared"`` (default; zero-copy
-            shared-memory matrices and CSR reattachment) or ``"pickle"``
-            (legacy sample pickling).  Both transports are bit-identical
-            for the same ``(seed, trials, num_workers)``.
         trace: optional :class:`~repro.telemetry.trace.CoverageRecorder`.
             Each worker records its chunk through a local recorder and
             writes the per-vertex informing times into a shared
             ``(trials, n)`` matrix; the parent ingests the assembled block
             into ``trace``, so the recorded coverage is identical to a
-            single-process traced run at the same seed.  Requires the
-            ``"shared"`` transport and a concrete :class:`Graph` (the
-            matrix width is the vertex count).  When a metrics registry is
-            active in the parent (``collecting_metrics``), worker counters
-            are snapshotted per chunk and merged back on the same return
-            path, alongside parent-side ``parallel.chunks`` /
-            ``parallel.chunk_seconds``; the pickle transport counts chunks
-            but cannot merge worker counters.
+            single-process traced run at the same seed.  Requires a
+            concrete :class:`Graph` (the matrix width is the vertex count).
+            When a metrics registry is active in the parent
+            (``collecting_metrics``), worker counters are snapshotted per
+            chunk and merged back on the same return path, alongside
+            parent-side ``parallel.chunks`` / ``parallel.chunk_seconds``.
 
     Returns:
         The merged :class:`SpreadingTimeSample`.
@@ -653,12 +630,8 @@ def run_trials_parallel(
     """
     if trials < 1:
         raise AnalysisError(f"trials must be positive, got {trials}")
-    if parallel not in PARALLEL_MODES:
-        raise AnalysisError(
-            f"parallel must be one of {PARALLEL_MODES}, got {parallel!r}"
-        )
     collector = None
-    if trace is None and parallel == "shared" and isinstance(graph_or_family, Graph):
+    if trace is None and isinstance(graph_or_family, Graph):
         # Ambient tracing (collecting_traces) reaches parallel runs too,
         # but only where explicit tracing is supported; deposit happens
         # after the merged sample is assembled below.
@@ -667,19 +640,12 @@ def run_trials_parallel(
             trace = CoverageRecorder(collector.spec)
         else:
             collector = None
-    if trace is not None:
-        if parallel != "shared":
-            raise AnalysisError(
-                "coverage tracing requires the 'shared' parallel transport "
-                f"(the traced informing-time matrix rides the shared-memory "
-                f"result path), got parallel={parallel!r}"
-            )
-        if not isinstance(graph_or_family, Graph):
-            raise AnalysisError(
-                "coverage tracing requires a concrete Graph (the traced "
-                "matrix width is the vertex count); build the family graph "
-                "first and pass it directly"
-            )
+    if trace is not None and not isinstance(graph_or_family, Graph):
+        raise AnalysisError(
+            "coverage tracing requires a concrete Graph (the traced "
+            "matrix width is the vertex count); build the family graph "
+            "first and pass it directly"
+        )
     scenario = as_scenario(scenario)
     if batch not in (False, "auto"):
         # Fail fast in the parent on an impossible forced-batch setting
@@ -732,8 +698,8 @@ def run_trials_parallel(
     metrics = current_metrics()
     if len(specs) == 1:
         # One chunk: run it in-process (identical to a worker run; no pool,
-        # no transport — both parallel modes share this path).  The ambient
-        # metrics registry, when active, sees the chunk directly.
+        # no shared memory).  The ambient metrics registry, when active,
+        # sees the chunk directly.
         if metrics is not None:
             metrics.count("parallel.chunks")
         with timer_or_null(metrics, "parallel.chunk_seconds"):
@@ -746,15 +712,12 @@ def run_trials_parallel(
 
     if metrics is not None:
         # Ask the workers to run their chunks under private registries and
-        # ship the snapshots back with the chunk metadata (shared transport
-        # merges them in _merge_shared; pickle cannot).
+        # ship the snapshots back with the chunk metadata (merged in
+        # _merge_shared).
         metrics.count("parallel.chunks", len(specs))
         specs = [replace(spec, collect_metrics=True) for spec in specs]
 
     handle = get_pool(len(specs))  # one process per chunk is all the call can use
-    if parallel == "pickle":
-        samples = _dispatch_chunks(handle, _run_chunk, specs)
-        return SpreadingTimeSample.merged(samples)
 
     if isinstance(graph_or_family, Graph):
         # Publish the CSR arrays once (cached per graph across calls) and
@@ -790,10 +753,9 @@ def run_trials_parallel(
             )
         return sample
 
-    # Family mode on the shared transport: build the graph ONCE in the
-    # parent — from the same shared graph seed the workers would have used,
-    # so the samples are bit-identical to the legacy rebuild-per-worker
-    # path — and serve every worker from one shared CSR segment.
+    # Family mode: build the graph ONCE in the parent — from the plan's
+    # shared graph seed, the same one the in-process one-chunk path builds
+    # from — and serve every worker from one shared CSR segment.
     built = get_family(str(graph_or_family)).build(int(size), seed=graph_seed)
     segment_name = shm.share_graph(built, pin=True)
     specs = [

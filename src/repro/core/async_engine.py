@@ -23,6 +23,39 @@ The equivalence follows from the superposition and thinning properties of
 Poisson processes plus the memorylessness of the exponential distribution —
 precisely the facts the paper quotes.
 
+Two runners cover the three views: :func:`_run_global_view`, and
+:func:`_run_clock_view`, a priority queue over a clock table (one clock per
+vertex, or one per ordered pair).  One :class:`_ScenarioState` per trial
+carries every runtime scenario effect for both; without a runtime scenario
+it is inert (draws nothing, never crosses a boundary, suppresses nothing).
+
+Per-trial randomness order — the contract the batched kernels of
+:mod:`repro.core.batch_engine` mirror draw for draw:
+
+1. ``Delay`` rates (``rng.random(n)`` unless given explicitly), once,
+   before anything else;
+2. clock views only: the initial next-tick block, one
+   ``rng.exponential(scales)`` call over the clock table — scale
+   ``1 / r_v`` per vertex (``node_clocks``), or ``deg(v) / r_v`` per
+   ordered pair in adjacency order (``edge_clocks``);
+3. global view only: per refill block of ``min(4096, remaining budget)``
+   ticks, exponential gaps (mean ``1 / sum(r)``), callers (``integers``, or
+   uniforms mapped through the cumulative rates under ``Delay``), neighbor
+   uniforms, and loss uniforms (only with a loss, burst-loss or
+   adaptive-loss component);
+4. per tick at time ``now``: every boundary crossed in (previous tick, now]
+   fires chronologically — per unit-time epoch one ``rng.random(n)`` churn
+   update (churn models with per-epoch randomness) then one scalar burst
+   draw; per dynamic-graph period the resampler's own draws (the epoch
+   fires before a resample on ties; clocks are never redrawn, and
+   ``edge_clocks`` rejects dynamic graphs);
+5. clock views only, the tick's own draws in order: neighbor uniform
+   (``node_clocks``), loss uniform (when lossy), reschedule exponential.
+
+Adaptive adversaries draw nothing of their own: crashes are deterministic
+at epoch boundaries, and a jam decision reads the ordinary loss uniform,
+which is consumed whether or not it can jam.
+
 As with the synchronous engine, this module simulates one trial with full
 :class:`~repro.core.result.SpreadingResult` bookkeeping; times-only Monte
 Carlo runs of any view should go through :mod:`repro.core.batch_engine` —
@@ -38,6 +71,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -65,6 +99,9 @@ ASYNC_MODES = ("push", "pull", "push-pull")
 ASYNC_VIEWS = ("global", "node_clocks", "edge_clocks")
 
 _PROTOCOL_NAMES = {"push": "push-a", "pull": "pull-a", "push-pull": "pp-a"}
+
+#: Ticks per refill block of the global view.
+_REFILL = 4096
 
 
 def default_max_steps(num_vertices: int) -> int:
@@ -200,44 +237,56 @@ def run_asynchronous(
     runtime_scenario = (
         scenario if scenario is not None and scenario.runtime_active() else None
     )
+    informed = [False] * n
+    informed[source] = True
+    informed_time = [math.inf] * n
+    informed_time[source] = 0.0
+    parent = [-1] * n
+    kind: list[Optional[str]] = [None] * n
+    kind[source] = "source"
+    trace: Optional[list[ContactEvent]] = [] if record_trace else None
+
+    state = _ScenarioState(graph, runtime_scenario, mode, rng, informed)
     if view == "global":
-        if runtime_scenario is not None:
-            return _run_global_view_scenario(
-                graph,
-                source,
-                mode,
-                rng,
-                step_budget,
-                time_budget,
-                record_trace,
-                on_budget_exhausted,
-                protocol_name,
-                runtime_scenario,
-            )
-        runner = _run_global_view
-        return runner(
-            graph,
-            source,
-            mode,
-            rng,
-            step_budget,
-            time_budget,
-            record_trace,
-            on_budget_exhausted,
-            protocol_name,
+        steps, push_infections, pull_infections = _run_global_view(
+            graph, mode, rng, step_budget, time_budget, state,
+            informed, informed_time, parent, kind, trace,
         )
-    runner = _run_node_clock_view if view == "node_clocks" else _run_edge_clock_view
-    return runner(
-        graph,
-        source,
-        mode,
-        rng,
-        step_budget,
-        time_budget,
-        record_trace,
-        on_budget_exhausted,
-        protocol_name,
-        runtime_scenario,
+    else:
+        steps, push_infections, pull_infections = _run_clock_view(
+            graph, view, mode, rng, step_budget, time_budget, state,
+            informed, informed_time, parent, kind, trace,
+        )
+
+    num_informed = 1 + push_infections + pull_infections
+    completed = num_informed == n
+    absorbed = n > num_informed >= state.target
+    if not completed and on_budget_exhausted == "error":
+        if absorbed:
+            reason = f": absorbed after {steps} steps (no uninformed up vertex is reachable)"
+        else:
+            reason = f" within {step_budget} steps / time {time_budget}"
+            if runtime_scenario is not None:
+                reason += f" under {runtime_scenario.spec()}"
+        raise SimulationError(
+            f"{protocol_name} on {graph.name} informed only {num_informed}/{n} vertices{reason}"
+        )
+    return SpreadingResult(
+        protocol=protocol_name,
+        graph_name=graph.name,
+        num_vertices=n,
+        source=source,
+        informed_time=tuple(informed_time),
+        parent=tuple(parent),
+        infection_kind=tuple(kind),
+        completed=completed,
+        steps=steps,
+        push_infections=push_infections,
+        pull_infections=pull_infections,
+        total_contacts=steps - state.silent_ticks,
+        adversary_budget_spent=state.budget_spent(),
+        trace=None if trace is None else tuple(trace),
+        termination="absorbed" if absorbed else None,
     )
 
 
@@ -277,437 +326,64 @@ def _exchange(
     return None, None
 
 
-def _build_result(
-    protocol_name: str,
-    graph: Graph,
-    source: int,
-    informed_time: list[float],
-    parent: list[int],
-    kind: list[Optional[str]],
-    steps: int,
-    push_infections: int,
-    pull_infections: int,
-    trace: list[ContactEvent],
-    record_trace: bool,
-    on_budget_exhausted: str,
-    budget_description: str,
-    total_contacts: Optional[int] = None,
-    adversary_budget_spent: Optional[int] = None,
-    absorbed: bool = False,
-) -> SpreadingResult:
-    completed = all(math.isfinite(t) for t in informed_time)
-    if not completed and on_budget_exhausted == "error":
-        informed_count = sum(1 for t in informed_time if math.isfinite(t))
-        reason = (
-            f": absorbed after {steps} steps (no uninformed up vertex is reachable)"
-            if absorbed
-            else f" within {budget_description}"
-        )
-        raise SimulationError(
-            f"{protocol_name} on {graph.name} informed only {informed_count}/"
-            f"{graph.num_vertices} vertices{reason}"
-        )
-    return SpreadingResult(
-        protocol=protocol_name,
-        graph_name=graph.name,
-        num_vertices=graph.num_vertices,
-        source=source,
-        informed_time=tuple(informed_time),
-        parent=tuple(parent),
-        infection_kind=tuple(kind),
-        completed=completed,
-        steps=steps,
-        push_infections=push_infections,
-        pull_infections=pull_infections,
-        total_contacts=steps if total_contacts is None else total_contacts,
-        adversary_budget_spent=adversary_budget_spent,
-        trace=tuple(trace) if record_trace else None,
-        termination="absorbed" if absorbed else None,
-    )
-
-
 # ---------------------------------------------------------------------- #
-# View 1: single global Poisson clock of rate n
+# Per-trial scenario state, shared by both runners
 # ---------------------------------------------------------------------- #
-def _run_global_view(
-    graph: Graph,
-    source: int,
-    mode: str,
-    rng: np.random.Generator,
-    step_budget: int,
-    time_budget: float,
-    record_trace: bool,
-    on_budget_exhausted: str,
-    protocol_name: str,
-) -> SpreadingResult:
-    n = graph.num_vertices
-    adjacency = graph.adjacency
-    degrees = graph.degrees
+class _ScenarioState:
+    """Everything a runtime scenario changes about one trial.
 
-    informed = [False] * n
-    informed[source] = True
-    informed_time = [math.inf] * n
-    informed_time[source] = 0.0
-    parent = [-1] * n
-    kind: list[Optional[str]] = [None] * n
-    kind[source] = "source"
+    Built before the runner draws anything: the ``Delay`` rates are the
+    first randomness a trial consumes (step 1 of the module's draw-order
+    contract).  The runners consult it through two gates only —
+    ``now >= next_boundary`` before a tick (:meth:`cross_boundaries`, step
+    4), and the precomputed :attr:`perturbs` flag before an exchange
+    (:meth:`suppresses`).  With no runtime scenario both gates stay shut:
+    the next boundary is ``inf`` and nothing is suppressed.
 
-    push_infections = 0
-    pull_infections = 0
-    trace: list[ContactEvent] = []
-
-    now = 0.0
-    steps = 0
-    num_informed = 1
-    batch_size = 4096
-    scale = 1.0 / n  # mean gap of the rate-n global clock
-
-    while num_informed < n and steps < step_budget and now <= time_budget:
-        remaining = step_budget - steps
-        this_batch = min(batch_size, remaining)
-        gaps = rng.exponential(scale, this_batch).tolist()
-        callers = rng.integers(0, n, this_batch).tolist()
-        neighbor_uniforms = rng.random(this_batch).tolist()
-        for gap, caller, u in zip(gaps, callers, neighbor_uniforms):
-            now += gap
-            if now > time_budget:
-                break
-            steps += 1
-            degree = degrees[caller]
-            callee = adjacency[caller][min(int(u * degree), degree - 1)]
-            informed_vertex, event_kind = _exchange(
-                mode, caller, callee, informed, informed_time, parent, kind, now
-            )
-            if event_kind == "push":
-                push_infections += 1
-                num_informed += 1
-            elif event_kind == "pull":
-                pull_infections += 1
-                num_informed += 1
-            if record_trace:
-                trace.append(
-                    ContactEvent(
-                        time=now,
-                        caller=caller,
-                        callee=callee,
-                        informed=informed_vertex,
-                        kind=event_kind,
-                    )
-                )
-            if num_informed == n:
-                break
-
-    return _build_result(
-        protocol_name,
-        graph,
-        source,
-        informed_time,
-        parent,
-        kind,
-        steps,
-        push_infections,
-        pull_infections,
-        trace,
-        record_trace,
-        on_budget_exhausted,
-        f"{step_budget} steps / time {time_budget}",
-    )
-
-
-# ---------------------------------------------------------------------- #
-# View 1 under an adversity scenario (kept separate so the unperturbed hot
-# path above stays byte-for-byte identical to the PR-1 pinned draw order)
-# ---------------------------------------------------------------------- #
-def _run_global_view_scenario(
-    graph: Graph,
-    source: int,
-    mode: str,
-    rng: np.random.Generator,
-    step_budget: int,
-    time_budget: float,
-    record_trace: bool,
-    on_budget_exhausted: str,
-    protocol_name: str,
-    scenario: Scenario,
-) -> SpreadingResult:
-    """The global view with loss / churn / dynamic-graph / delay effects.
-
-    Per-trial randomness order (mirrored exactly by the batched kernel in
-    :mod:`repro.core.batch_engine`):
-
-    1. ``Delay`` rates, once, before any tick randomness;
-    2. per refill chunk: exponential gaps, caller draws (``integers`` without
-       delay, uniforms with), neighbor uniforms, loss uniforms (if a loss or
-       burst-loss component is present);
-    3. interleaved at consumption time: per unit-time epoch boundary
-       crossed, one ``rng.random(n)`` churn update (for churn models with
-       per-epoch randomness) then one scalar burst-channel draw; and the
-       resampler's own draws at each dynamic-graph period boundary (the
-       epoch fires before a resample on ties).
-    """
-    n = graph.num_vertices
-    current_graph = graph
-    adjacency = graph.adjacency
-    degrees = graph.degrees
-
-    loss_prob = scenario.loss_prob
-    burst = scenario.burst
-    churn = scenario.churn
-    dynamic = scenario.dynamic
-    delay = scenario.delay
-    adaptive_loss = scenario.adaptive_loss
-    lossy = loss_prob > 0.0 or burst is not None or adaptive_loss is not None
-
-    cum_rates = None
-    total_rate = float(n)
-    if delay is not None:
-        rates = delay.draw_rates(graph, rng)
-        cum_rates = np.cumsum(rates)
-        total_rate = float(cum_rates[-1])
-    scale = 1.0 / total_rate  # mean gap of the superposed clock
-
-    up: Optional[np.ndarray] = churn.initial_up(graph) if churn is not None else None
-    churn_updates = churn is not None and churn.epoch_draws
-    adaptive_churn = churn is not None and churn.adaptive
-    crash_order = churn.ranking(graph) if adaptive_churn else None
-    crash_budget = churn.budget if adaptive_churn else 0
-    jam_budget = adaptive_loss.budget if adaptive_loss is not None else 0
-    bad = False
-    current_loss = loss_prob
-    next_epoch = (
-        1.0 if (churn_updates or adaptive_churn or burst is not None) else math.inf
-    )
-    next_resample = float(dynamic.period) if dynamic is not None else math.inf
-
-    informed = [False] * n
-    informed[source] = True
-    informed_time = [math.inf] * n
-    informed_time[source] = 0.0
-    parent = [-1] * n
-    kind: list[Optional[str]] = [None] * n
-    kind[source] = "source"
-
-    push_infections = 0
-    pull_infections = 0
-    trace: list[ContactEvent] = []
-
-    # The informed count at which no future contact can inform anyone: n
-    # unless crashes are permanent, then recomputed whenever the down set
-    # changes.
-    absorbing = scenario.can_absorb
-    flat = flat_adjacency(graph) if absorbing else None
-    target = n
-    if absorbing:
-        target = absorbing_target(flat.indptr, flat.indices, informed, up, crash_budget)
-
-    now = 0.0
-    steps = 0
-    total_contacts = 0
-    num_informed = 1
-    batch_size = 4096
-
-    while num_informed < target and steps < step_budget and now <= time_budget:
-        remaining = step_budget - steps
-        this_batch = min(batch_size, remaining)
-        gaps = rng.exponential(scale, this_batch).tolist()
-        if delay is not None:
-            caller_draws = rng.random(this_batch).tolist()
-        else:
-            caller_draws = rng.integers(0, n, this_batch).tolist()
-        neighbor_uniforms = rng.random(this_batch).tolist()
-        loss_uniforms = rng.random(this_batch).tolist() if lossy else None
-        for index in range(this_batch):
-            now += gaps[index]
-            if now > time_budget:
-                break
-            # Boundaries crossed in (previous tick, now] fire before the
-            # exchange at `now`, in chronological order (epoch updates —
-            # churn then burst — before a resample on ties).
-            while True:
-                boundary = min(next_epoch, next_resample)
-                if boundary > now:
-                    break
-                if next_epoch <= next_resample:
-                    down_changed = False
-                    if churn_updates:
-                        # repro: allow[RNG002] -- epoch schedule is deterministic in time, not in drawn values; every engine fires the identical boundary interleave
-                        stepped = churn.step(up, rng.random(n))
-                        down_changed = np.count_nonzero(stepped) != np.count_nonzero(up)
-                        up = stepped
-                    elif adaptive_churn:
-                        # The adaptive adversary observes the informed set at
-                        # the epoch boundary and crashes deterministically —
-                        # no draw, so the RNG stream matches the oblivious
-                        # engines'.
-                        spent = churn.crash_step(
-                            up, np.asarray(informed, dtype=bool), crash_order, crash_budget
-                        )
-                        crash_budget -= spent
-                        down_changed = spent > 0
-                    if absorbing and down_changed:
-                        target = absorbing_target(
-                            flat.indptr, flat.indices, informed, up, crash_budget
-                        )
-                    if burst is not None:
-                        # repro: allow[RNG002] -- epoch schedule is deterministic in time, not in drawn values; every engine fires the identical boundary interleave
-                        bad = bool(burst.step_state(bad, rng.random()))
-                        current_loss = float(burst.loss_at(bad))
-                    next_epoch += 1.0
-                else:
-                    current_graph = dynamic.resample(current_graph, rng)
-                    adjacency = current_graph.adjacency
-                    degrees = current_graph.degrees
-                    next_resample += float(dynamic.period)
-            steps += 1
-            if cum_rates is not None:
-                caller = min(
-                    int(np.searchsorted(cum_rates, caller_draws[index] * total_rate, side="right")),
-                    n - 1,
-                )
-            else:
-                caller = caller_draws[index]
-            degree = degrees[caller]
-            callee = adjacency[caller][min(int(neighbor_uniforms[index] * degree), degree - 1)]
-            if up is None or up[caller]:
-                # A crashed caller initiates nothing (matching the sync
-                # engine's contact accounting); lost messages still count —
-                # the contact happened, the payload didn't arrive.
-                total_contacts += 1
-            down = up is not None and not (up[caller] and up[callee])
-            if adaptive_loss is not None:
-                # Jam only would-transmit contacts (informative direction
-                # between two up vertices); the loss uniform is consumed
-                # unconditionally so the draw order never depends on state.
-                if mode == "push-pull":
-                    informative = informed[caller] != informed[callee]
-                elif mode == "push":
-                    informative = informed[caller] and not informed[callee]
-                else:
-                    informative = not informed[caller] and informed[callee]
-                jam = (
-                    not down
-                    and informative
-                    and jam_budget > 0
-                    and loss_uniforms[index] < adaptive_loss.p
-                )
-                if jam:
-                    jam_budget -= 1
-                suppressed = down or jam
-            else:
-                suppressed = (
-                    loss_uniforms is not None and loss_uniforms[index] < current_loss
-                ) or down
-            if suppressed:
-                informed_vertex, event_kind = None, None
-            else:
-                informed_vertex, event_kind = _exchange(
-                    mode, caller, callee, informed, informed_time, parent, kind, now
-                )
-            if event_kind == "push":
-                push_infections += 1
-                num_informed += 1
-            elif event_kind == "pull":
-                pull_infections += 1
-                num_informed += 1
-            if record_trace:
-                trace.append(
-                    ContactEvent(
-                        time=now,
-                        caller=caller,
-                        callee=callee,
-                        informed=informed_vertex,
-                        kind=event_kind,
-                    )
-                )
-            if num_informed >= target:
-                break
-
-    return _build_result(
-        protocol_name,
-        graph,
-        source,
-        informed_time,
-        parent,
-        kind,
-        steps,
-        push_infections,
-        pull_infections,
-        trace,
-        record_trace,
-        on_budget_exhausted,
-        f"{step_budget} steps / time {time_budget} under {scenario.spec()}",
-        total_contacts=total_contacts,
-        adversary_budget_spent=(
-            (churn.budget if adaptive_churn else 0)
-            + (adaptive_loss.budget if adaptive_loss is not None else 0)
-            - crash_budget
-            - jam_budget
-        )
-        if adaptive_churn or adaptive_loss is not None
-        else None,
-        absorbed=n > num_informed >= target,
-    )
-
-
-# ---------------------------------------------------------------------- #
-# Shared scenario state for the clock-queue views
-# ---------------------------------------------------------------------- #
-class _ClockScenarioState:
-    """Per-trial scenario bookkeeping shared by both clock-queue runners.
-
-    Per-trial randomness order (mirrored exactly by
-    :func:`repro.core.batch_engine.run_clock_view_batch`):
-
-    1. ``Delay`` rates, once, before the initial next-tick block;
-    2. the initial next-tick block (``rng.exponential(1 / r_v, n)`` for
-       ``node_clocks``; one per-pair block with scale ``deg(v) / r_v`` in
-       CSR pair order for ``edge_clocks``);
-    3. per tick popped at time ``now``: every boundary crossed in
-       (previous tick, now] fires chronologically — per epoch one
-       ``rng.random(n)`` churn update (for churn models with per-epoch
-       randomness) then one scalar burst draw; per dynamic-graph period
-       boundary the resampler's own draws (epoch before resample on ties;
-       clocks are never redrawn — ``node_clocks`` clocks are graph
-       independent, and ``edge_clocks`` rejects dynamic graphs);
-    4. the tick's own draws, in order: neighbor uniform (``node_clocks``
-       only), loss uniform (whenever a loss or burst-loss component is
-       present), reschedule exponential.
+    ``informed`` is the runner's own informed list (not a copy): the
+    adaptive adversaries and the absorbing-state test observe it live.
     """
 
     __slots__ = (
-        "loss_prob", "burst", "churn", "dynamic", "delay", "lossy", "rates",
-        "up", "churn_updates", "bad", "current_loss", "next_epoch",
-        "next_resample", "current_graph", "total_contacts", "mode",
-        "adaptive_loss", "adaptive_churn", "crash_order", "crash_budget",
-        "jam_budget", "flat", "target",
+        "n", "mode", "informed", "graph", "loss_prob", "burst", "churn",
+        "dynamic", "delay", "adaptive_loss", "lossy", "perturbs", "rates",
+        "up", "churn_updates", "adaptive_churn", "crash_order",
+        "crash_budget", "jam_budget", "bad", "current_loss", "next_epoch",
+        "next_resample", "next_boundary", "silent_ticks", "flat", "target",
     )
 
     def __init__(
         self,
         graph: Graph,
         scenario: Optional[Scenario],
+        mode: str,
         rng: np.random.Generator,
-        mode: str = "push-pull",
+        informed: list[bool],
     ) -> None:
-        self.loss_prob = scenario.loss_prob if scenario is not None else 0.0
-        self.burst = scenario.burst if scenario is not None else None
-        self.churn = scenario.churn if scenario is not None else None
-        self.dynamic = scenario.dynamic if scenario is not None else None
-        self.delay = scenario.delay if scenario is not None else None
-        self.adaptive_loss = (
-            scenario.adaptive_loss if scenario is not None else None
-        )
+        # The base class is the inert scenario: every component is absent.
+        parts = scenario if scenario is not None else Scenario()
+        self.n = graph.num_vertices
+        self.mode = mode
+        self.informed = informed
+        self.graph = graph
+        self.loss_prob = parts.loss_prob
+        self.burst = parts.burst
+        self.churn = parts.churn
+        self.dynamic = parts.dynamic
+        self.delay = parts.delay
+        self.adaptive_loss = parts.adaptive_loss
         self.lossy = (
             self.loss_prob > 0.0
             or self.burst is not None
             or self.adaptive_loss is not None
         )
-        self.mode = mode
-        # Delay rates are the first randomness the trial consumes.
         self.rates = (
             self.delay.draw_rates(graph, rng) if self.delay is not None else None
         )
         self.up = self.churn.initial_up(graph) if self.churn is not None else None
+        # Whether an exchange can be suppressed at all; when not, the
+        # runners skip :meth:`suppresses` (and its contact accounting).
+        self.perturbs = self.lossy or self.up is not None
         self.churn_updates = self.churn is not None and self.churn.epoch_draws
         self.adaptive_churn = self.churn is not None and self.churn.adaptive
         self.crash_order = (
@@ -727,19 +403,25 @@ class _ClockScenarioState:
         self.next_resample = (
             float(self.dynamic.period) if self.dynamic is not None else math.inf
         )
-        self.current_graph = graph
-        self.total_contacts = 0
-        # The absorbing-state target (see refresh_target): n until the
-        # runner hands over the initial informed set.
-        absorbing = scenario is not None and scenario.can_absorb
-        self.flat = flat_adjacency(graph) if absorbing else None
-        self.target = graph.num_vertices
+        self.next_boundary = min(self.next_epoch, self.next_resample)
+        # Ticks whose caller was down: a crashed caller initiates nothing
+        # (matching the sync engine's contact accounting), while a lost
+        # message still counts — the contact happened, the payload didn't
+        # arrive.
+        self.silent_ticks = 0
+        # The informed count at which no future contact can inform anyone:
+        # n unless crashes are permanent, then recomputed whenever the down
+        # set changes.
+        self.flat = flat_adjacency(graph) if parts.can_absorb else None
+        self.target = self.n
+        self.refresh_target()
 
-    def refresh_target(self, informed: list) -> None:
+    def refresh_target(self) -> None:
         """Recompute the absorbing target (only under permanent crashes)."""
         if self.flat is not None:
             self.target = absorbing_target(
-                self.flat.indptr, self.flat.indices, informed, self.up, self.crash_budget
+                self.flat.indptr, self.flat.indices, self.informed, self.up,
+                self.crash_budget,
             )
 
     def budget_spent(self) -> Optional[int]:
@@ -751,72 +433,61 @@ class _ClockScenarioState:
         )
         return initial - self.crash_budget - self.jam_budget
 
-    def cross_boundaries(
-        self,
-        now: float,
-        n: int,
-        rng: np.random.Generator,
-        informed: Optional[list] = None,
-    ) -> bool:
+    def cross_boundaries(self, now: float, rng: np.random.Generator) -> bool:
         """Fire every epoch/resample boundary in (previous tick, now].
 
         Returns whether a resample occurred (the caller must refresh its
-        adjacency view).  A churn step that grows the down set refreshes
-        :attr:`target`.
+        adjacency view from :attr:`graph`).  A churn step that changes the
+        down set refreshes :attr:`target`.
         """
         resampled = False
-        while True:
-            boundary = min(self.next_epoch, self.next_resample)
-            if boundary > now:
-                return resampled
+        while self.next_boundary <= now:
             if self.next_epoch <= self.next_resample:
                 down_changed = False
                 if self.churn_updates:
-                    stepped = self.churn.step(self.up, rng.random(n))
+                    stepped = self.churn.step(self.up, rng.random(self.n))
                     down_changed = np.count_nonzero(stepped) != np.count_nonzero(self.up)
                     self.up = stepped
                 elif self.adaptive_churn:
-                    # Deterministic crash on the observed informed set — no
-                    # draw, so the RNG stream matches the oblivious engines'.
+                    # The adaptive adversary observes the informed set at the
+                    # epoch boundary and crashes deterministically — no draw,
+                    # so the RNG stream matches the oblivious engines'.
                     spent = self.churn.crash_step(
                         self.up,
-                        np.asarray(informed, dtype=bool),
+                        np.asarray(self.informed, dtype=bool),
                         self.crash_order,
                         self.crash_budget,
                     )
                     self.crash_budget -= spent
                     down_changed = spent > 0
                 if down_changed:
-                    self.refresh_target(informed)
+                    self.refresh_target()
                 if self.burst is not None:
                     self.bad = bool(self.burst.step_state(self.bad, rng.random()))
                     self.current_loss = float(self.burst.loss_at(self.bad))
                 self.next_epoch += 1.0
             else:
-                self.current_graph = self.dynamic.resample(self.current_graph, rng)
+                self.graph = self.dynamic.resample(self.graph, rng)
                 self.next_resample += float(self.dynamic.period)
                 resampled = True
+            self.next_boundary = min(self.next_epoch, self.next_resample)
+        return resampled
 
-    def suppresses(
-        self,
-        caller: int,
-        callee: int,
-        rng: np.random.Generator,
-        informed: Optional[list] = None,
-    ) -> bool:
-        """Consume the tick's loss draw and apply the loss/churn masks.
+    def suppresses(self, caller: int, callee: int, draw: Optional[float]) -> bool:
+        """Whether loss or churn stops this contact's exchange.
 
-        Also maintains the caller-must-be-up contact accounting (matching
-        the global view's scenario runner).
+        ``draw`` is the tick's loss uniform, ``None`` unless :attr:`lossy`;
+        the runner draws it whether or not it can matter, so the draw order
+        never depends on protocol state.
         """
-        if self.up is None or self.up[caller]:
-            self.total_contacts += 1
-        down = self.up is not None and not (self.up[caller] and self.up[callee])
+        up = self.up
+        if up is not None and not up[caller]:
+            self.silent_ticks += 1
+        down = up is not None and not (up[caller] and up[callee])
         if self.adaptive_loss is not None:
-            # The loss uniform is consumed unconditionally so the draw order
-            # never depends on protocol state; it only jams would-transmit
-            # contacts while budget remains.
-            draw = rng.random()
+            # Jam only would-transmit contacts (informative direction
+            # between two up vertices) while budget remains.
+            informed = self.informed
             if self.mode == "push-pull":
                 informative = informed[caller] != informed[callee]
             elif self.mode == "push":
@@ -827,194 +498,173 @@ class _ClockScenarioState:
                 not down
                 and informative
                 and self.jam_budget > 0
+                and draw is not None
                 and draw < self.adaptive_loss.p
             )
             if jam:
                 self.jam_budget -= 1
             return down or jam
-        lost = self.lossy and rng.random() < self.current_loss
-        return lost or down
+        return down or (draw is not None and draw < self.current_loss)
 
 
 # ---------------------------------------------------------------------- #
-# View 2: one Poisson clock of rate 1 per vertex (priority queue)
+# View 1: single global Poisson clock of rate n (sum of rates under Delay)
 # ---------------------------------------------------------------------- #
-def _run_node_clock_view(
+def _run_global_view(
     graph: Graph,
-    source: int,
     mode: str,
     rng: np.random.Generator,
     step_budget: int,
     time_budget: float,
-    record_trace: bool,
-    on_budget_exhausted: str,
-    protocol_name: str,
-    scenario: Optional[Scenario] = None,
-) -> SpreadingResult:
+    state: _ScenarioState,
+    informed: list[bool],
+    informed_time: list[float],
+    parent: list[int],
+    kind: list[Optional[str]],
+    trace: Optional[list[ContactEvent]],
+) -> tuple[int, int, int]:
+    """Tick the superposed clock; returns (steps, pushes, pulls)."""
     n = graph.num_vertices
-    state = (
-        _ClockScenarioState(graph, scenario, rng, mode)
-        if scenario is not None
-        else None
-    )
     adjacency = graph.adjacency
     degrees = graph.degrees
+    perturbs = state.perturbs
+    lossy = state.lossy
+    next_boundary = state.next_boundary
+    target = state.target
 
-    informed = [False] * n
-    informed[source] = True
-    informed_time = [math.inf] * n
-    informed_time[source] = 0.0
-    parent = [-1] * n
-    kind: list[Optional[str]] = [None] * n
-    kind[source] = "source"
+    cum_rates = None
+    total_rate = float(n)
+    if state.rates is not None:
+        cum_rates = np.cumsum(state.rates)
+        total_rate = float(cum_rates[-1])
+    scale = 1.0 / total_rate  # mean gap of the superposed clock
 
     push_infections = 0
     pull_infections = 0
-    trace: list[ContactEvent] = []
-
-    if state is not None and state.rates is not None:
-        # Vertex v ticks at rate r_v: gaps are Exp(1 / r_v).
-        scales = 1.0 / state.rates
-        first_ticks = rng.exponential(scales)
-    else:
-        scales = None
-        first_ticks = rng.exponential(1.0, n)
-    heap: list[tuple[float, int]] = [(float(first_ticks[v]), v) for v in range(n)]
-    heapq.heapify(heap)
-
-    target = n
-    if state is not None:
-        state.refresh_target(informed)
-        target = state.target
+    now = 0.0
     steps = 0
     num_informed = 1
-    now = 0.0
-    while num_informed < target and steps < step_budget:
-        now, caller = heapq.heappop(heap)
-        if now > time_budget:
-            break
-        if state is not None:
-            if state.cross_boundaries(now, n, rng, informed):
-                adjacency = state.current_graph.adjacency
-                degrees = state.current_graph.degrees
-            target = state.target
-        steps += 1
-        degree = degrees[caller]
-        callee = adjacency[caller][min(int(rng.random() * degree), degree - 1)]
-        if state is not None and state.suppresses(caller, callee, rng, informed):
-            informed_vertex, event_kind = None, None
+    while num_informed < target and steps < step_budget and now <= time_budget:
+        this_batch = min(_REFILL, step_budget - steps)
+        gaps = rng.exponential(scale, this_batch).tolist()
+        if cum_rates is None:
+            callers = rng.integers(0, n, this_batch).tolist()
         else:
-            informed_vertex, event_kind = _exchange(
-                mode, caller, callee, informed, informed_time, parent, kind, now
-            )
-        if event_kind == "push":
-            push_infections += 1
-            num_informed += 1
-        elif event_kind == "pull":
-            pull_infections += 1
-            num_informed += 1
-        if record_trace:
-            trace.append(
-                ContactEvent(
-                    time=now,
-                    caller=caller,
-                    callee=callee,
-                    informed=informed_vertex,
-                    kind=event_kind,
+            # Vertex v ticks with probability r_v / sum(r).
+            weighted = np.searchsorted(cum_rates, rng.random(this_batch) * total_rate, side="right")
+            callers = np.minimum(weighted, n - 1).tolist()
+        neighbor_uniforms = rng.random(this_batch).tolist()
+        loss_uniforms = rng.random(this_batch).tolist() if lossy else repeat(None)
+        for gap, caller, u, loss in zip(gaps, callers, neighbor_uniforms, loss_uniforms):
+            now += gap
+            if now > time_budget:
+                break
+            if now >= next_boundary:
+                if state.cross_boundaries(now, rng):
+                    adjacency = state.graph.adjacency
+                    degrees = state.graph.degrees
+                next_boundary = state.next_boundary
+                target = state.target
+            steps += 1
+            degree = degrees[caller]
+            callee = adjacency[caller][min(int(u * degree), degree - 1)]
+            if perturbs and state.suppresses(caller, callee, loss):
+                informed_vertex, event_kind = None, None
+            else:
+                informed_vertex, event_kind = _exchange(
+                    mode, caller, callee, informed, informed_time, parent, kind, now
                 )
-            )
-        reschedule_scale = 1.0 if scales is None else float(scales[caller])
-        heapq.heappush(heap, (now + float(rng.exponential(reschedule_scale)), caller))
-
-    return _build_result(
-        protocol_name,
-        graph,
-        source,
-        informed_time,
-        parent,
-        kind,
-        steps,
-        push_infections,
-        pull_infections,
-        trace,
-        record_trace,
-        on_budget_exhausted,
-        f"{step_budget} steps / time {time_budget}"
-        + (f" under {scenario.spec()}" if scenario is not None else ""),
-        total_contacts=state.total_contacts if state is not None else None,
-        adversary_budget_spent=state.budget_spent() if state is not None else None,
-        absorbed=n > num_informed >= target,
-    )
+            if event_kind == "push":
+                push_infections += 1
+                num_informed += 1
+            elif event_kind == "pull":
+                pull_infections += 1
+                num_informed += 1
+            if trace is not None:
+                trace.append(
+                    ContactEvent(
+                        time=now,
+                        caller=caller,
+                        callee=callee,
+                        informed=informed_vertex,
+                        kind=event_kind,
+                    )
+                )
+            if num_informed >= target:
+                break
+    return steps, push_infections, pull_infections
 
 
 # ---------------------------------------------------------------------- #
-# View 3: one Poisson clock of rate 1/deg(v) per ordered pair (v, w)
+# Views 2 and 3: a priority queue over a clock table
 # ---------------------------------------------------------------------- #
-def _run_edge_clock_view(
+def _run_clock_view(
     graph: Graph,
-    source: int,
+    view: str,
     mode: str,
     rng: np.random.Generator,
     step_budget: int,
     time_budget: float,
-    record_trace: bool,
-    on_budget_exhausted: str,
-    protocol_name: str,
-    scenario: Optional[Scenario] = None,
-) -> SpreadingResult:
+    state: _ScenarioState,
+    informed: list[bool],
+    informed_time: list[float],
+    parent: list[int],
+    kind: list[Optional[str]],
+    trace: Optional[list[ContactEvent]],
+) -> tuple[int, int, int]:
+    """Pop the earliest clock until a stop; returns (steps, pushes, pulls).
+
+    Every clock has an owner (the caller), a mean gap, and — under
+    ``edge_clocks`` — a fixed callee; ``node_clocks`` draws the callee
+    uniformly from the owner's current neighbors on every tick.
+    """
     n = graph.num_vertices
-    state = (
-        _ClockScenarioState(graph, scenario, rng, mode)
-        if scenario is not None
-        else None
-    )
+    adjacency = graph.adjacency
+    degrees = graph.degrees
+    rates = np.ones(n) if state.rates is None else state.rates
+    draws_callee = view == "node_clocks"
+    if draws_callee:
+        # Vertex v ticks at rate r_v.
+        owners = list(range(n))
+        callees: list[int] = []
+        scales = 1.0 / rates
+    else:
+        # Pair (v, w) ticks at rate r_v / deg(v), so v's pair clocks
+        # superpose to v's own rate r_v.
+        degree_array = np.asarray(degrees)
+        owners = np.repeat(np.arange(n), degree_array).tolist()
+        callees = [w for neighbors in adjacency for w in neighbors]
+        scales = np.repeat(degree_array / rates, degree_array)
+    heap = list(zip(rng.exponential(scales).tolist(), range(len(owners))))
+    heapq.heapify(heap)
+    clock_scales = scales.tolist()
 
-    informed = [False] * n
-    informed[source] = True
-    informed_time = [math.inf] * n
-    informed_time[source] = 0.0
-    parent = [-1] * n
-    kind: list[Optional[str]] = [None] * n
-    kind[source] = "source"
-
+    perturbs = state.perturbs
+    lossy = state.lossy
+    next_boundary = state.next_boundary
+    target = state.target
     push_infections = 0
     pull_infections = 0
-    trace: list[ContactEvent] = []
-
-    # Ordered pairs (v, w) for every edge {v, w}: clock rate 1/deg(v) means
-    # the inter-tick times have mean deg(v) — or deg(v)/r_v under a Delay,
-    # so v's pair clocks still superpose to v's own rate r_v.
-    rates = state.rates if state is not None else None
-    ordered_pairs: list[tuple[int, int]] = []
-    pair_scales: list[float] = []
-    for v in range(n):
-        scale = graph.degree(v) if rates is None else graph.degree(v) / float(rates[v])
-        for w in graph.neighbors(v):
-            ordered_pairs.append((v, w))
-            pair_scales.append(scale)
-    heap: list[tuple[float, int]] = []
-    for index in range(len(ordered_pairs)):
-        first = float(rng.exponential(pair_scales[index]))
-        heap.append((first, index))
-    heapq.heapify(heap)
-
-    target = n
-    if state is not None:
-        state.refresh_target(informed)
-        target = state.target
     steps = 0
     num_informed = 1
-    now = 0.0
-    while num_informed < target and steps < step_budget and heap:
-        now, pair_index = heapq.heappop(heap)
+    while num_informed < target and steps < step_budget:
+        now, clock = heapq.heappop(heap)
         if now > time_budget:
             break
-        if state is not None:
-            state.cross_boundaries(now, n, rng, informed)  # dynamic rejected upstream
+        if now >= next_boundary:
+            if state.cross_boundaries(now, rng):  # never under edge_clocks
+                adjacency = state.graph.adjacency
+                degrees = state.graph.degrees
+            next_boundary = state.next_boundary
             target = state.target
         steps += 1
-        caller, callee = ordered_pairs[pair_index]
-        if state is not None and state.suppresses(caller, callee, rng, informed):
+        caller = owners[clock]
+        if draws_callee:
+            degree = degrees[caller]
+            callee = adjacency[caller][min(int(rng.random() * degree), degree - 1)]
+        else:
+            callee = callees[clock]
+        if perturbs and state.suppresses(caller, callee, rng.random() if lossy else None):
             informed_vertex, event_kind = None, None
         else:
             informed_vertex, event_kind = _exchange(
@@ -1026,7 +676,7 @@ def _run_edge_clock_view(
         elif event_kind == "pull":
             pull_infections += 1
             num_informed += 1
-        if record_trace:
+        if trace is not None:
             trace.append(
                 ContactEvent(
                     time=now,
@@ -1036,26 +686,5 @@ def _run_edge_clock_view(
                     kind=event_kind,
                 )
             )
-        heapq.heappush(
-            heap, (now + float(rng.exponential(pair_scales[pair_index])), pair_index)
-        )
-
-    return _build_result(
-        protocol_name,
-        graph,
-        source,
-        informed_time,
-        parent,
-        kind,
-        steps,
-        push_infections,
-        pull_infections,
-        trace,
-        record_trace,
-        on_budget_exhausted,
-        f"{step_budget} steps / time {time_budget}"
-        + (f" under {scenario.spec()}" if scenario is not None else ""),
-        total_contacts=state.total_contacts if state is not None else None,
-        adversary_budget_spent=state.budget_spent() if state is not None else None,
-        absorbed=n > num_informed >= target,
-    )
+        heapq.heappush(heap, (now + float(rng.exponential(clock_scales[clock])), clock))
+    return steps, push_infections, pull_infections

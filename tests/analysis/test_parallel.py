@@ -97,22 +97,13 @@ class TestRunTrialsParallel:
 
 
 class TestTransports:
-    """The zero-copy shared transport vs the legacy pickling transport."""
+    """The zero-copy shared-memory result path."""
 
     def test_invalid_transport_rejected(self):
+        # Shared memory is the only transport; there is nothing to select.
         graph = star_graph(8)
-        with pytest.raises(AnalysisError):
-            run_trials_parallel(graph, 0, "pp", trials=4, seed=1, parallel="mmap")
-
-    def test_shared_equals_pickle_bit_for_bit(self):
-        graph = complete_graph(20)
-        kwargs = dict(trials=11, seed=23, num_workers=3, fractions=(0.5, 0.9))
-        pickled = run_trials_parallel(graph, 0, "pp", parallel="pickle", **kwargs)
-        shared = run_trials_parallel(graph, 0, "pp", parallel="shared", **kwargs)
-        assert shared.times == pickled.times
-        assert shared.fraction_times == pickled.fraction_times
-        assert shared.source == pickled.source
-        assert shared.graph_name == pickled.graph_name
+        with pytest.raises(TypeError):
+            run_trials_parallel(graph, 0, "pp", trials=4, seed=1, parallel="pickle")
 
     def test_shared_family_mode(self):
         sample = run_trials_parallel(
@@ -123,7 +114,6 @@ class TestTransports:
             seed=11,
             size=32,
             num_workers=2,
-            parallel="shared",
         )
         assert sample.num_trials == 8
         assert sample.num_vertices == 32

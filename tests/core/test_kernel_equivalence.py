@@ -50,7 +50,7 @@ def test_registered_kernel_matches_serial(case, backend):
 
 @pytest.mark.parametrize("case", PARALLEL_CASES, ids=case_ids(PARALLEL_CASES))
 def test_registered_parallel_transports_agree(case):
-    """The PR-4 gate: parallel="shared" ≡ parallel="pickle" ≡ serial replay."""
+    """The PR-4 gate: pool dispatch ≡ serial chunk replay."""
     assert_parallel_case(case)
 
 
