@@ -348,8 +348,8 @@ def chunk_plan(
     return graph_seed, plan
 
 
-def _dispatch_chunks(handle: ExecutorHandle, fn, chunk_specs: Sequence[Any]) -> list:
-    """Run ``fn`` over every chunk spec on the pool, tolerating worker faults.
+def _dispatch_chunks(handle: ExecutorHandle, chunk_specs: Sequence[_SharedChunkSpec]) -> list:
+    """Run every chunk on the pool, tolerating worker faults.
 
     Per chunk: up to ``REPRO_CHUNK_RETRIES`` resubmissions (with exponential
     backoff between rounds) on a worker crash, exception, or
@@ -380,7 +380,7 @@ def _dispatch_chunks(handle: ExecutorHandle, fn, chunk_specs: Sequence[Any]) -> 
         if attempts[index] > retries:
             if metrics is not None:
                 metrics.count("parallel.serial_fallbacks")
-            results[index] = fn(chunk_specs[index])
+            results[index] = _run_chunk_shared(chunk_specs[index])
             return None
         if metrics is not None:
             metrics.count("parallel.chunk_retries")
@@ -396,7 +396,7 @@ def _dispatch_chunks(handle: ExecutorHandle, fn, chunk_specs: Sequence[Any]) -> 
             try:
                 try:
                     for index in pending:
-                        futures[index] = handle.submit(fn, chunk_specs[index])
+                        futures[index] = handle.submit(_run_chunk_shared, chunk_specs[index])
                 except BrokenExecutor:
                     # Submission itself failed: the pool is gone.  Charge the
                     # chunks that never got a future and reset below via the
@@ -543,7 +543,7 @@ def _execute_shared(
         # is bit-identical to an undisturbed one.  It drains its own
         # futures on a parent-side failure, so the finally block below can
         # safely unlink the segments.
-        metas = _dispatch_chunks(handle, _run_chunk_shared, shared_specs)
+        metas = _dispatch_chunks(handle, shared_specs)
         sample = _merge_shared(metas, times, fraction_matrix, fractions, protocol)
         if trace is not None:
             # record_block copies, so this happens before the finally block

@@ -345,8 +345,8 @@ class _ScenarioState:
     """
 
     __slots__ = (
-        "n", "mode", "informed", "graph", "loss_prob", "burst", "churn",
-        "dynamic", "delay", "adaptive_loss", "lossy", "perturbs", "rates",
+        "n", "mode", "informed", "graph", "burst", "churn", "dynamic",
+        "adaptive_loss", "lossy", "perturbs", "rates",
         "up", "churn_updates", "adaptive_churn", "crash_order",
         "crash_budget", "jam_budget", "bad", "current_loss", "next_epoch",
         "next_resample", "next_boundary", "silent_ticks", "flat", "target",
@@ -366,20 +366,17 @@ class _ScenarioState:
         self.mode = mode
         self.informed = informed
         self.graph = graph
-        self.loss_prob = parts.loss_prob
         self.burst = parts.burst
         self.churn = parts.churn
         self.dynamic = parts.dynamic
-        self.delay = parts.delay
         self.adaptive_loss = parts.adaptive_loss
         self.lossy = (
-            self.loss_prob > 0.0
+            parts.loss_prob > 0.0
             or self.burst is not None
             or self.adaptive_loss is not None
         )
-        self.rates = (
-            self.delay.draw_rates(graph, rng) if self.delay is not None else None
-        )
+        delay = parts.delay
+        self.rates = delay.draw_rates(graph, rng) if delay is not None else None
         self.up = self.churn.initial_up(graph) if self.churn is not None else None
         # Whether an exchange can be suppressed at all; when not, the
         # runners skip :meth:`suppresses` (and its contact accounting).
@@ -394,7 +391,7 @@ class _ScenarioState:
             self.adaptive_loss.budget if self.adaptive_loss is not None else 0
         )
         self.bad = False
-        self.current_loss = self.loss_prob
+        self.current_loss = parts.loss_prob
         self.next_epoch = (
             1.0
             if (self.churn_updates or self.adaptive_churn or self.burst is not None)
