@@ -295,35 +295,42 @@ def run_asynchronous(
 # ---------------------------------------------------------------------- #
 def _exchange(
     mode: str,
+    state: "_ScenarioState",
     caller: int,
     callee: int,
+    loss: Optional[float],
+    now: float,
     informed: list[bool],
     informed_time: list[float],
     parent: list[int],
     kind: list[Optional[str]],
-    now: float,
-) -> tuple[Optional[int], Optional[str]]:
-    """Apply one contact; returns (vertex informed, kind) or (None, None)."""
-    caller_informed = informed[caller]
-    callee_informed = informed[callee]
-    if caller_informed == callee_informed:
-        return None, None
-    if caller_informed:
-        if mode in ("push", "push-pull"):
-            informed[callee] = True
-            informed_time[callee] = now
-            parent[callee] = caller
-            kind[callee] = "push"
-            return callee, "push"
-        return None, None
-    # Caller is uninformed, callee informed: a pull.
-    if mode in ("pull", "push-pull"):
-        informed[caller] = True
-        informed_time[caller] = now
-        parent[caller] = callee
-        kind[caller] = "pull"
-        return caller, "pull"
-    return None, None
+    trace: Optional[list[ContactEvent]],
+) -> bool:
+    """Apply one contact at ``now`` unless the scenario suppresses it
+    (``loss``: the tick's loss uniform, ``None`` unless lossy) and record
+    it in ``trace``; returns whether it informed a vertex."""
+    informed_vertex = event_kind = None
+    if not (state.perturbs and state.suppresses(caller, callee, loss)):
+        caller_informed = informed[caller]
+        if caller_informed != informed[callee]:
+            # The uninformed endpoint learns, if the mode lets it.
+            if caller_informed and mode in ("push", "push-pull"):
+                informed_vertex, source, event_kind = callee, caller, "push"
+            elif not caller_informed and mode in ("pull", "push-pull"):
+                informed_vertex, source, event_kind = caller, callee, "pull"
+    if informed_vertex is not None:
+        informed[informed_vertex] = True
+        informed_time[informed_vertex] = now
+        parent[informed_vertex] = source
+        kind[informed_vertex] = event_kind
+    if trace is not None:
+        trace.append(
+            ContactEvent(
+                time=now, caller=caller, callee=callee, informed=informed_vertex,
+                kind=event_kind,
+            )
+        )
+    return informed_vertex is not None
 
 
 # ---------------------------------------------------------------------- #
@@ -524,7 +531,6 @@ def _run_global_view(
     n = graph.num_vertices
     adjacency = graph.adjacency
     degrees = graph.degrees
-    perturbs = state.perturbs
     lossy = state.lossy
     next_boundary = state.next_boundary
     target = state.target
@@ -536,8 +542,6 @@ def _run_global_view(
         total_rate = float(cum_rates[-1])
     scale = 1.0 / total_rate  # mean gap of the superposed clock
 
-    push_infections = 0
-    pull_infections = 0
     now = 0.0
     steps = 0
     num_informed = 1
@@ -565,31 +569,14 @@ def _run_global_view(
             steps += 1
             degree = degrees[caller]
             callee = adjacency[caller][min(int(u * degree), degree - 1)]
-            if perturbs and state.suppresses(caller, callee, loss):
-                informed_vertex, event_kind = None, None
-            else:
-                informed_vertex, event_kind = _exchange(
-                    mode, caller, callee, informed, informed_time, parent, kind, now
-                )
-            if event_kind == "push":
-                push_infections += 1
+            if _exchange(
+                mode, state, caller, callee, loss, now,
+                informed, informed_time, parent, kind, trace,
+            ):
                 num_informed += 1
-            elif event_kind == "pull":
-                pull_infections += 1
-                num_informed += 1
-            if trace is not None:
-                trace.append(
-                    ContactEvent(
-                        time=now,
-                        caller=caller,
-                        callee=callee,
-                        informed=informed_vertex,
-                        kind=event_kind,
-                    )
-                )
             if num_informed >= target:
                 break
-    return steps, push_infections, pull_infections
+    return steps, kind.count("push"), kind.count("pull")
 
 
 # ---------------------------------------------------------------------- #
@@ -636,12 +623,9 @@ def _run_clock_view(
     heapq.heapify(heap)
     clock_scales = scales.tolist()
 
-    perturbs = state.perturbs
     lossy = state.lossy
     next_boundary = state.next_boundary
     target = state.target
-    push_infections = 0
-    pull_infections = 0
     steps = 0
     num_informed = 1
     while num_informed < target and steps < step_budget:
@@ -661,27 +645,13 @@ def _run_clock_view(
             callee = adjacency[caller][min(int(rng.random() * degree), degree - 1)]
         else:
             callee = callees[clock]
-        if perturbs and state.suppresses(caller, callee, rng.random() if lossy else None):
-            informed_vertex, event_kind = None, None
-        else:
-            informed_vertex, event_kind = _exchange(
-                mode, caller, callee, informed, informed_time, parent, kind, now
-            )
-        if event_kind == "push":
-            push_infections += 1
+        # Lossy scenarios always perturb: the loss uniform is drawn exactly
+        # when the exchange consults it.
+        loss = rng.random() if lossy else None
+        if _exchange(
+            mode, state, caller, callee, loss, now,
+            informed, informed_time, parent, kind, trace,
+        ):
             num_informed += 1
-        elif event_kind == "pull":
-            pull_infections += 1
-            num_informed += 1
-        if trace is not None:
-            trace.append(
-                ContactEvent(
-                    time=now,
-                    caller=caller,
-                    callee=callee,
-                    informed=informed_vertex,
-                    kind=event_kind,
-                )
-            )
         heapq.heappush(heap, (now + float(rng.exponential(clock_scales[clock])), clock))
-    return steps, push_infections, pull_infections
+    return steps, kind.count("push"), kind.count("pull")

@@ -101,7 +101,7 @@ import numpy as np
 from repro.core.async_engine import ASYNC_MODES, ASYNC_VIEWS, default_max_steps
 from repro.core.aux_processes import AUX_VARIANTS, pull_probabilities
 from repro.core.flatgraph import FlatAdjacency, flat_adjacency
-from repro.core.kernels import AsyncState, resolve_backend
+from repro.core.kernels import AsyncState, TickExchange, resolve_backend
 from repro.core.result import TERMINATIONS, BatchTimes
 from repro.core.sync_engine import SYNC_MODES, default_max_rounds
 from repro.errors import ProtocolError, ScenarioError, SimulationError
@@ -288,17 +288,53 @@ def _trivial_batch(
     )
 
 
-def _termination(
-    completed: np.ndarray,
-    absorbed: np.ndarray,
-    metrics: Optional[MetricsRegistry],
-) -> np.ndarray:
-    """Per-trial stop reasons, counted as ``engine.termination.*`` metrics.
+def _start_state(sources: np.ndarray, n: int, record_times: bool) -> tuple:
+    """The ``(B, n)`` informed matrix, per-trial informed counts, (with
+    ``record_times``) informing-time matrix, completion flags and
+    completion times of trials that start at ``sources``."""
+    batch = sources.size
+    trial_rows = np.arange(batch, dtype=np.int64)
+    informed = np.zeros((batch, n), dtype=bool)
+    informed[trial_rows, sources] = True
+    times = None
+    if record_times:
+        times = np.full((batch, n), np.inf)
+        times[trial_rows, sources] = 0.0
+    num_informed = np.ones(batch, dtype=np.int64)
+    return informed, num_informed, times, np.zeros(batch, dtype=bool), np.full(batch, np.inf)
 
-    ``absorbed`` flags the trials a kernel retired short of completion
-    because their informed count reached the absorbing target; every other
-    incomplete trial ran out of budget.
+
+def _finish(
+    protocol_name: str,
+    graph: Graph,
+    sources: np.ndarray,
+    completed: np.ndarray,
+    completion_time: np.ndarray,
+    informed_time: Optional[np.ndarray],
+    num_informed: np.ndarray,
+    absorbed: np.ndarray,
+    on_budget_exhausted: str,
+    budget_description: str,
+    metrics: Optional[MetricsRegistry],
+    parts: Optional["_ScenarioParts"] = None,
+    rounds: Optional[np.ndarray] = None,
+    steps: Optional[np.ndarray] = None,
+) -> BatchTimes:
+    """Assemble a kernel's result; raise if a trial is incomplete and
+    ``on_budget_exhausted`` is ``"error"``.
+
+    Each trial's stop reason is counted as an ``engine.termination.*``
+    metric.  ``absorbed`` flags the trials a kernel retired short of
+    completion because their informed count reached the absorbing target;
+    every other incomplete trial ran out of budget.  Asynchronous kernels
+    pass their (budget-corrected) ``steps``: every tick is one attempted
+    contact, while deliveries are each kernel's own count.
     """
+    if metrics is not None and steps is not None:
+        metrics.count("engine.clock_ticks", int(steps.sum()))
+        metrics.count("engine.messages_attempted", int(steps.sum()))
+    if parts is not None:
+        parts.record_budget_spent(metrics)
     termination = np.where(
         completed, "completed", np.where(absorbed, "absorbed", "budget")
     ).astype("<U9")
@@ -307,24 +343,27 @@ def _termination(
             count = int(np.count_nonzero(termination == name))
             if count:
                 metrics.count(f"engine.termination.{name}", count)
-    return termination
-
-
-def _raise_incomplete(
-    protocol_name: str,
-    graph: Graph,
-    num_informed: np.ndarray,
-    termination: np.ndarray,
-    budget_description: str,
-) -> None:
     incomplete = np.flatnonzero(termination != "completed")
-    worst = int(num_informed[incomplete].min())
-    absorbed = int(np.count_nonzero(termination == "absorbed"))
-    raise SimulationError(
-        f"{protocol_name} on {graph.name} left {incomplete.size} of "
-        f"{termination.size} batched trials incomplete within {budget_description}, "
-        f"{absorbed} of them absorbed (no uninformed up vertex reachable) "
-        f"(worst trial informed {worst}/{graph.num_vertices} vertices)"
+    if incomplete.size and on_budget_exhausted == "error":
+        worst = int(num_informed[incomplete].min())
+        absorbed_count = int(np.count_nonzero(termination == "absorbed"))
+        raise SimulationError(
+            f"{protocol_name} on {graph.name} left {incomplete.size} of "
+            f"{termination.size} batched trials incomplete within {budget_description}, "
+            f"{absorbed_count} of them absorbed (no uninformed up vertex reachable) "
+            f"(worst trial informed {worst}/{graph.num_vertices} vertices)"
+        )
+    return BatchTimes(
+        protocol=protocol_name,
+        graph_name=graph.name,
+        num_vertices=graph.num_vertices,
+        sources=sources,
+        completed=completed,
+        completion_time=completion_time,
+        informed_time=informed_time,
+        rounds=rounds,
+        steps=steps,
+        termination=termination,
     )
 
 
@@ -524,6 +563,25 @@ class _ScenarioParts:
         """Count ``scenario.adversary_budget_spent`` when metrics are on."""
         if metrics is not None and self.has_adaptive:
             metrics.count("scenario.adversary_budget_spent", self.budget_spent())
+
+    def delay_rates(
+        self,
+        graph: Graph,
+        batch: int,
+        pooled_rng: Optional[np.random.Generator],
+        generators: Optional[Sequence[np.random.Generator]],
+    ) -> Optional[np.ndarray]:
+        """Each trial's ``Delay`` vertex rates, ``(B, n)`` (``None`` without
+        a Delay) — the first randomness a trial consumes, as in the serial
+        engine."""
+        if self.delay is None:
+            return None
+        return np.stack([
+            self.delay.draw_rates(
+                graph, pooled_rng if pooled_rng is not None else generators[b]
+            )
+            for b in range(batch)
+        ])
 
     def initial_up(self, graph: Graph, batch: int) -> Optional[np.ndarray]:
         """The ``(B, n)`` up/down matrix at trial start, or ``None``."""
@@ -916,30 +974,16 @@ def run_synchronous_batch(
         if times_live is not None:
             final_times[live_ids] = times_live
 
-    termination = _termination(completed, absorbed, metrics)
-    if not completed.all() and on_budget_exhausted == "error":
-        _raise_incomplete(
-            protocol_name, graph, final_informed_count, termination, f"{budget} rounds"
-        )
     if metrics is not None:
         # Every informed vertex beyond the pre-informed sources received
         # exactly one successful transmission.
         metrics.count(
             "engine.messages_delivered", int(final_informed_count.sum()) - batch
         )
-    parts.record_budget_spent(metrics)
-
-    return BatchTimes(
-        protocol=protocol_name,
-        graph_name=graph.name,
-        num_vertices=n,
-        sources=source_array,
-        completed=completed,
-        completion_time=completion_time,
-        informed_time=final_times,
-        rounds=final_rounds,
-        steps=None,
-        termination=termination,
+    return _finish(
+        protocol_name, graph, source_array, completed, completion_time, final_times,
+        final_informed_count, absorbed, on_budget_exhausted, f"{budget} rounds",
+        metrics, parts, rounds=final_rounds,
     )
 
 
@@ -994,7 +1038,6 @@ def run_asynchronous_batch(
     scenario = as_scenario(scenario)
     parts = _ScenarioParts(scenario)
     burst = parts.burst
-    delay = parts.delay
     dynamic = parts.dynamic
     protocol_name = _ASYNC_MODE_NAMES[mode]
     n = graph.num_vertices
@@ -1025,34 +1068,18 @@ def run_asynchronous_batch(
     # Delay scenario: per-trial vertex rates drawn at trial start (the first
     # randomness each trial consumes, matching the serial engine), with the
     # cumulative-rate tables used to resolve weighted caller draws.
-    rates_cum = None
-    rates_total = None
-    scales = None
-    if delay is not None:
-        rates = np.stack(
-            [
-                delay.draw_rates(
-                    graph, pooled_rng if pooled_rng is not None else generators[b]
-                )
-                for b in range(batch)
-            ]
-        )
+    rates = parts.delay_rates(graph, batch, pooled_rng, generators)
+    rates_cum = rates_total = scales = None
+    if rates is not None:
         rates_cum = np.cumsum(rates, axis=1)
         rates_total = rates_cum[:, -1].copy()
         scales = 1.0 / rates_total  # per-trial mean gap of the superposed clock
 
-    informed = np.zeros((batch, n), dtype=bool)
-    trial_rows = np.arange(batch, dtype=np.int64)
-    informed[trial_rows, source_array] = True
-    num_informed = np.ones(batch, dtype=np.int64)
-    times = None
-    if record_times:
-        times = np.full((batch, n), np.inf)
-        times[trial_rows, source_array] = 0.0
+    informed, num_informed, times, completed, completion_time = _start_state(
+        source_array, n, record_times
+    )
 
     now = np.zeros(batch)
-    completed = np.zeros(batch, dtype=bool)
-    completion_time = np.full(batch, np.inf)
 
     # Scenario state, indexed by absolute trial row (this kernel masks rows
     # instead of compacting them): churn up/down matrices, burst channel
@@ -1127,36 +1154,12 @@ def run_asynchronous_batch(
     kern.async_tick_loop(state)
     if overtime is not None:
         steps[overtime] -= 1  # the final draw was consumed, not executed
-    if metrics is not None:
-        # Delivered counts come from the backends' own drain-exit deltas
-        # (see kernels.numpy_backend / kernels.jit_backend); the totals
-        # here are budget-corrected tick counts only.
-        total_ticks = int(steps.sum())
-        metrics.count("engine.clock_ticks", total_ticks)
-        metrics.count("engine.messages_attempted", total_ticks)
-    parts.record_budget_spent(metrics)
     # Every kernel checks the target before any budget, so an incomplete
     # trial at its target was retired as absorbed.
-    termination = _termination(completed, num_informed >= parts.target, metrics)
-    if not completed.all() and on_budget_exhausted == "error":
-        _raise_incomplete(
-            protocol_name,
-            graph,
-            num_informed,
-            termination,
-            f"{step_budget} steps / time {time_budget}",
-        )
-    return BatchTimes(
-        protocol=protocol_name,
-        graph_name=graph.name,
-        num_vertices=n,
-        sources=source_array,
-        completed=completed,
-        completion_time=completion_time,
-        informed_time=times,
-        rounds=None,
-        steps=steps,
-        termination=termination,
+    return _finish(
+        protocol_name, graph, source_array, completed, completion_time, times,
+        num_informed, num_informed >= parts.target, on_budget_exhausted,
+        f"{step_budget} steps / time {time_budget}", metrics, parts, steps=steps,
     )
 
 
@@ -1362,25 +1365,14 @@ def run_auxiliary_batch(
         if times_live is not None:
             final_times[live_ids] = times_live
 
-    termination = _termination(completed, np.zeros(batch, dtype=bool), metrics)
-    if not completed.all() and on_budget_exhausted == "error":
-        _raise_incomplete(variant, graph, final_informed_count, termination, f"{budget} rounds")
     if metrics is not None:
         metrics.count(
             "engine.messages_delivered", int(final_informed_count.sum()) - batch
         )
-
-    return BatchTimes(
-        protocol=variant,
-        graph_name=graph.name,
-        num_vertices=n,
-        sources=source_array,
-        completed=completed,
-        completion_time=completion_time,
-        informed_time=final_times,
-        rounds=final_rounds,
-        steps=None,
-        termination=termination,
+    return _finish(
+        variant, graph, source_array, completed, completion_time, final_times,
+        final_informed_count, np.zeros(batch, dtype=bool), on_budget_exhausted,
+        f"{budget} rounds", metrics, rounds=final_rounds,
     )
 
 
@@ -1415,16 +1407,22 @@ def _run_clock_view_pooled(
     :mod:`repro.experiments.view_equivalence`).  That lets this path
     pre-draw the whole randomness of the next ``chunk`` ticks as three
     ``(B, chunk)`` blocks — gaps, callers, neighbor uniforms — resolve the
-    callee matrix in one vectorised gather, and run a lean per-tick loop
-    with no RNG calls and no argmin over the next-tick table at all.
+    callee matrix in one vectorised gather, and let the backend's consumer
+    move each trial to its next informative tick, with no RNG calls and no
+    argmin over the next-tick table at all.
 
     Runtime scenarios keep the same shape: a :class:`~repro.scenarios.Delay`
     reweights the superposition (per-trial total rate, weighted caller
     draws resolved at block-refill time), loss/burst-loss add one uniform
-    block, and churn updates fire inside the column loop at each trial's
-    epoch boundaries.  Dynamic graphs never reach this path (the callee
-    blocks above are resolved against one fixed CSR); the dispatcher routes
-    them through the unchunked pooled table loop instead.
+    block, and churn updates and burst flips fire at each trial's epoch
+    boundaries, drawing from the trial's own stream (spawned once from
+    ``pooled_rng``), since trials reach their crossings at different
+    columns of a block.  Every other cell (no scenario, loss, adaptive
+    loss, Delay, adaptive crash, targeted churn) depends on the blocks
+    alone, so how the consumer walks them never changes a result.  Dynamic
+    graphs never reach this path (the callee blocks are resolved against
+    one fixed CSR); the dispatcher routes them through the unchunked
+    pooled table loop instead.
     """
     n = graph.num_vertices
     batch = source_array.size
@@ -1435,7 +1433,6 @@ def _run_clock_view_pooled(
     mode_pp = mode == "push-pull"
     push_allowed = mode in ("push", "push-pull")
     finite_time_budget = np.isfinite(time_budget)
-    scale = 1.0 / n  # mean gap of the superposed rate-n tick process
 
     if parts is None:
         parts = _ScenarioParts(None)
@@ -1449,13 +1446,11 @@ def _run_clock_view_pooled(
     # its edge-view pair clocks, rate r_v/deg(v) each, superpose to the
     # same r_v — so the pooled process has per-trial total rate sum(r_v)
     # and rate-weighted callers.
-    rates_cum = None
-    rates_total = None
-    trial_scales = None
-    if parts.delay is not None:
-        rates = np.stack(
-            [parts.delay.draw_rates(graph, pooled_rng) for _ in range(batch)]
-        )
+    rates = parts.delay_rates(graph, batch, pooled_rng, None)
+    rates_cum = rates_total = None
+    # Each trial's mean gap (1/n: the superposed rate-n tick process).
+    trial_scales = np.full(batch, 1.0 / n)
+    if rates is not None:
         rates_cum = np.cumsum(rates, axis=1)
         rates_total = rates_cum[:, -1].copy()
         trial_scales = 1.0 / rates_total
@@ -1464,21 +1459,22 @@ def _run_clock_view_pooled(
     bad = np.zeros(batch, dtype=bool) if burst is not None else None
     next_epoch = np.ones(batch) if parts.needs_epochs else None
 
-    informed = np.zeros((batch, n), dtype=bool)
-    trial_rows = np.arange(batch, dtype=np.int64)
-    informed[trial_rows, source_array] = True
-    num_informed = np.ones(batch, dtype=np.int64)
-    times = None
-    if record_times:
-        times = np.full((batch, n), np.inf)
-        times[trial_rows, source_array] = 0.0
+    informed, num_informed, times, completed, completion_time = _start_state(
+        source_array, n, record_times
+    )
     now = np.zeros(batch)
     steps = np.zeros(batch, dtype=np.int64)
-    completed = np.zeros(batch, dtype=bool)
-    completion_time = np.full(batch, np.inf)
 
     parts.init_targets(graph, source_array, informed, up)
     live = num_informed < parts.target
+    # Each trial reaches its epoch crossings at its own column of a block,
+    # so crossings that draw (churn updates, a burst channel) take them
+    # from the trial's own stream, spawned once off the pooled generator.
+    epoch_rngs = (
+        spawn_generators(batch, pooled_rng)
+        if parts.churn_updates or burst is not None
+        else None
+    )
     while True:
         rows = np.flatnonzero(live)
         if rows.size == 0:
@@ -1492,12 +1488,7 @@ def _run_clock_view_pooled(
             live[rows] = False
             break
         width = min(chunk, remaining)
-        if trial_scales is None:
-            gaps = pooled_rng.exponential(scale, (rows.size, width))
-        else:
-            gaps = pooled_rng.exponential(
-                trial_scales[rows][:, None], (rows.size, width)
-            )
+        gaps = pooled_rng.exponential(trial_scales[rows][:, None], (rows.size, width))
         tick_times = np.cumsum(gaps, axis=1)
         tick_times += now[rows][:, None]
         if rates_cum is None:
@@ -1520,47 +1511,26 @@ def _run_clock_view_pooled(
         callees = indices[start[callers] + offsets]
 
         # Everything random about the block is resolved; the backend's
-        # consumer walks its columns and mutates the per-trial state in
-        # place (only epoch crossings still draw, from the pooled
-        # generator — the jit backend delegates those blocks to numpy).
+        # consumer walks each row to its informative ticks and mutates the
+        # per-trial state in place (only epoch crossings still draw, from
+        # the per-trial streams — the jit backend delegates those blocks
+        # to numpy).
         informed_before = int(num_informed.sum()) if metrics is not None else 0
         kern.clock_chunk_consume(
             rows, executed, width, tick_times, callers, callees, loss_block,
             informed, times, num_informed, steps, completed, completion_time,
             live, now, n, time_budget, finite_time_budget, mode_pp,
-            push_allowed, parts, bad, up, next_epoch, pooled_rng,
+            push_allowed, parts, bad, up, next_epoch, epoch_rngs,
         )
         if metrics is not None:
             metrics.count("engine.drain_returns")
             metrics.count(
                 "engine.messages_delivered", int(num_informed.sum()) - informed_before
             )
-
-    termination = _termination(completed, num_informed >= parts.target, metrics)
-    if not completed.all() and on_budget_exhausted == "error":
-        _raise_incomplete(
-            protocol_name,
-            graph,
-            num_informed,
-            termination,
-            f"{step_budget} steps / time {time_budget}",
-        )
-    if metrics is not None:
-        total_ticks = int(steps.sum())
-        metrics.count("engine.clock_ticks", total_ticks)
-        metrics.count("engine.messages_attempted", total_ticks)
-    parts.record_budget_spent(metrics)
-    return BatchTimes(
-        protocol=protocol_name,
-        graph_name=graph.name,
-        num_vertices=n,
-        sources=source_array,
-        completed=completed,
-        completion_time=completion_time,
-        informed_time=times,
-        rounds=None,
-        steps=steps,
-        termination=termination,
+    return _finish(
+        protocol_name, graph, source_array, completed, completion_time, times,
+        num_informed, num_informed >= parts.target, on_budget_exhausted,
+        f"{step_budget} steps / time {time_budget}", metrics, parts, steps=steps,
     )
 
 
@@ -1622,7 +1592,9 @@ def run_clock_view_batch(
     as the benchmark baseline for the fast path.  A dynamic-graph scenario
     also runs through the unchunked pooled loop (its pre-resolved callee
     blocks assume a fixed graph).  Pooled samples agree with the per-trial
-    modes in distribution only (KS-tested in the suite).
+    modes in distribution only (KS-tested in the suite); beyond the blocks,
+    only churn and burst-loss epochs draw, from per-trial streams spawned
+    from ``pooled_rng`` (see :func:`_run_clock_view_pooled`).
 
     Args: as :func:`run_asynchronous_batch`, plus ``view`` and
         ``pooled_chunk``.  ``backend`` applies to the chunked pooled fast
@@ -1697,18 +1669,9 @@ def run_clock_view_batch(
 
     # Delay rates are the first randomness each trial consumes (before the
     # initial next-tick block), matching the serial engine.
-    rates = None
-    node_scales = None
-    if parts.delay is not None:
-        rates = np.stack(
-            [
-                parts.delay.draw_rates(
-                    graph, pooled_rng if pooled_rng is not None else generators[b]
-                )
-                for b in range(batch)
-            ]
-        )
-        node_scales = 1.0 / rates  # (B, n): mean gap of each vertex clock
+    rates = parts.delay_rates(graph, batch, pooled_rng, generators)
+    # (B, n): mean gap of each vertex clock
+    node_scales = 1.0 / rates if rates is not None else None
 
     pair_caller = pair_callee = pair_scale = None
     if node_view:
@@ -1751,21 +1714,12 @@ def run_clock_view_batch(
                     pair_scale if rates is None else pair_scale[b]
                 )
 
-    informed = np.zeros((batch, n), dtype=bool)
-    trial_rows = np.arange(batch, dtype=np.int64)
-    informed[trial_rows, source_array] = True
-    num_informed = np.ones(batch, dtype=np.int64)
-    times = None
-    if record_times:
-        times = np.full((batch, n), np.inf)
-        times[trial_rows, source_array] = 0.0
+    informed, num_informed, times, completed, completion_time = _start_state(
+        source_array, n, record_times
+    )
     now = np.zeros(batch)
     steps = np.zeros(batch, dtype=np.int64)
-    completed = np.zeros(batch, dtype=bool)
-    completion_time = np.full(batch, np.inf)
     finite_time_budget = np.isfinite(time_budget)
-    mode_pp = mode == "push-pull"
-    push_allowed = mode in ("push", "push-pull")
 
     # Scenario state, indexed by absolute trial row (rows are masked, not
     # compacted): see run_asynchronous_batch.  Dynamic graphs only reach
@@ -1787,6 +1741,10 @@ def run_clock_view_batch(
     # — by informing someone or by a crash at a boundary it crossed.
     target = parts.init_targets(graph, source_array, informed, up)
     live = num_informed < target
+    exchange = TickExchange(
+        informed, times, up, num_informed, completed, completion_time, live, mode,
+        parts, bad,
+    )
     while True:
         rows = np.flatnonzero(live)
         if rows.size == 0:
@@ -1811,7 +1769,7 @@ def run_clock_view_batch(
                 tick_time = tick_time[keep]
                 if rows.size == 0:
                     continue
-        stopped = None
+        absorbed = None
         if next_epoch is not None or next_resample is not None:
             # Boundaries crossed in (previous event, now] fire before the
             # exchange, chronologically, epoch before resample on ties —
@@ -1831,10 +1789,7 @@ def run_clock_view_batch(
                         trial_graphs, informed,
                     )
                 if parts.absorbing:
-                    # A crash can leave a trial absorbed: it still executes
-                    # this tick, then stops.
-                    crossed = rows[crossing]
-                    stopped = crossed[num_informed[crossed] >= target[crossed]]
+                    absorbed = exchange.absorbed(np.flatnonzero(crossing), rows)
         steps[rows] += 1
         now[rows] = tick_time
         loss_u = np.empty(rows.size) if parts.lossy else None
@@ -1896,74 +1851,23 @@ def run_clock_view_batch(
                     )
             next_tick[rows, idx] = tick_time + resched
 
-        caller_informed = informed[rows, caller]
-        callee_informed = informed[rows, callee]
-        if mode_pp:
-            active = caller_informed != callee_informed
-            targets = np.where(caller_informed, callee, caller)
-        elif push_allowed:
-            active = caller_informed & ~callee_informed
-            targets = callee
-        else:
-            active = ~caller_informed & callee_informed
-            targets = caller
-        if loss_u is not None and parts.adaptive_loss is None:
-            active &= loss_u >= parts.loss_threshold(bad, rows)
-        if up is not None:
-            # Crashed endpoints suppress the exchange in either direction.
-            active &= up[rows, caller] & up[rows, callee]
-        if parts.adaptive_loss is not None:
-            # At this point `active` is exactly the would-transmit mask
-            # (informative direction between two up vertices): jam those
-            # whose pre-drawn loss uniform fires, while budget remains.
-            jam = active & (loss_u < parts.adaptive_loss.p) & (
-                parts.jam_budget[rows] > 0
-            )
-            if jam.any():
-                parts.jam_budget[rows[jam]] -= 1
-                active &= ~jam
-        if active.any():
-            active_rows = rows[active]
-            active_targets = targets[active]
-            informed[active_rows, active_targets] = True
-            if times is not None:
-                times[active_rows, active_targets] = tick_time[active]
-            num_informed[active_rows] += 1
-            done = active_rows[num_informed[active_rows] >= target[active_rows]]
-            if done.size:
-                full = done[num_informed[done] == n]
-                completed[full] = True
-                completion_time[full] = now[full]
-                live[done] = False
-        if stopped is not None:
-            live[stopped] = False
-
-    termination = _termination(completed, num_informed >= target, metrics)
-    if not completed.all() and on_budget_exhausted == "error":
-        _raise_incomplete(
-            protocol_name,
-            graph,
-            num_informed,
-            termination,
-            f"{step_budget} steps / time {time_budget}",
+        row_base = rows * n
+        caller_pos = row_base + caller
+        callee_pos = row_base + callee
+        caller_informed = exchange.informed_flat.take(caller_pos)
+        informative = exchange.informative(
+            caller_informed, exchange.informed_flat.take(callee_pos)
+        )
+        exchange(
+            rows, caller_pos, callee_pos, caller_informed, informative, loss_u,
+            tick_time, absorbed,
         )
     if metrics is not None:
-        total_ticks = int(steps.sum())
-        metrics.count("engine.clock_ticks", total_ticks)
-        metrics.count("engine.messages_attempted", total_ticks)
         metrics.count("engine.messages_delivered", int(num_informed.sum()) - batch)
-    parts.record_budget_spent(metrics)
-    return BatchTimes(
-        protocol=protocol_name,
-        graph_name=graph.name,
-        num_vertices=n,
-        sources=source_array,
-        completed=completed,
-        completion_time=completion_time,
-        informed_time=times,
-        rounds=None,
-        steps=steps,
-        termination=termination,
+    return _finish(
+        protocol_name, graph, source_array, completed, completion_time, times,
+        num_informed, num_informed >= target, on_budget_exhausted,
+        f"{step_budget} steps / time {time_budget}", metrics, parts, steps=steps,
     )
 
 

@@ -10,9 +10,9 @@ two interchangeable implementations:
 
 ``numpy``
     :mod:`repro.core.kernels.numpy_backend` — the reference vectorised
-    kernels.  Always available.  Its async tick loop skips ahead: each
-    iteration scans a short window of every live trial's buffered contacts
-    and jumps to the first one that can inform anyone, so it pays array
+    kernels.  Always available.  Both its async loops skip ahead: each
+    iteration scans a short window of every live trial's pending contacts
+    and jumps to the first one that can inform anyone, so they pay array
     overhead per informative tick rather than per tick.
 ``jit``
     :mod:`repro.core.kernels.jit_backend` — Numba ``@njit(cache=True)``
@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import warnings
 from types import ModuleType
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -56,9 +56,14 @@ from repro import config
 from repro.errors import ProtocolError
 from repro.randomness.rng import as_generator
 
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from repro.core.batch_engine import _ScenarioParts
+    from repro.telemetry.metrics import MetricsRegistry
+
 __all__ = [
     "KERNEL_BACKENDS",
     "AsyncState",
+    "TickExchange",
     "available_backends",
     "default_backend_name",
     "resolve_backend",
@@ -257,3 +262,137 @@ class AsyncState:
         nbr_uniforms[row, :chunk] = rng.random(chunk)
         if loss_uniforms is not None:
             loss_uniforms[row, :chunk] = rng.random(chunk)
+
+
+class TickExchange:
+    """The rumor exchange every batched asynchronous tick runs through.
+
+    The numpy tick loop and clock-block consumer (after scanning ahead to
+    each trial's next informative tick) and the per-trial clock-view table
+    loop (one tick per trial per iteration) call it with one selected
+    contact per trial, so there are no intra-call conflicts and the
+    exchange vectorises: push informs the callee, pull the caller, and
+    push–pull exactly the uninformed endpoint of an informative contact.
+    Loss (the contact's uniform against the threshold of the burst state
+    *after* this tick's boundaries), a crashed endpoint, and the adaptive
+    jammer suppress it; the jammer judges the uniform against the
+    would-transmit mask, while budget remains.  A trial then retires if its
+    informed count reached its absorbing target (``parts.target``: ``n``
+    unless the scenario can absorb) — by informing, or because a boundary
+    this tick crossed left it absorbed.  Retirement sets ``completed`` /
+    ``completion_time`` / ``live``; the caller records the step count.
+    Endpoints are addressed by flat position in the ``(B, n)`` state (1-D
+    takes and scatters skip the 2-D fancy-indexing machinery); boundary
+    crossings rewrite ``up`` rows in place, so its flat view stays current.
+    """
+
+    __slots__ = (
+        "n", "informed_flat", "times_flat", "up_flat", "num_informed",
+        "completed", "completion_time", "live", "mode_pp", "push_allowed",
+        "parts", "bad", "metrics",
+    )
+
+    def __init__(
+        self,
+        informed: np.ndarray,
+        times: Optional[np.ndarray],
+        up: Optional[np.ndarray],
+        num_informed: np.ndarray,
+        completed: np.ndarray,
+        completion_time: np.ndarray,
+        live: np.ndarray,
+        mode: str,
+        parts: "_ScenarioParts",
+        bad: Optional[np.ndarray],
+        metrics: Optional["MetricsRegistry"] = None,
+    ) -> None:
+        self.n = informed.shape[1]
+        self.informed_flat = informed.reshape(-1)
+        self.times_flat = times.reshape(-1) if times is not None else None
+        self.up_flat = up.reshape(-1) if up is not None else None
+        self.num_informed = num_informed
+        self.completed = completed
+        self.completion_time = completion_time
+        self.live = live
+        self.mode_pp = mode == "push-pull"
+        self.push_allowed = mode in ("push", "push-pull")
+        self.parts = parts
+        self.bad = bad
+        self.metrics = metrics
+
+    def informative(
+        self, caller_informed: np.ndarray, callee_informed: np.ndarray
+    ) -> np.ndarray:
+        """The contacts with the endpoint pattern the mode can use (push–pull:
+        one endpoint informed; push: the caller, not the callee; pull: the
+        reverse).  No other contact can change any state."""
+        if self.mode_pp:
+            return caller_informed != callee_informed
+        if self.push_allowed:
+            return caller_informed > callee_informed
+        return caller_informed < callee_informed
+
+    def absorbed(self, crossed: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        """The positions among ``crossed`` (into ``ids``) whose trial a
+        boundary crossing left absorbed: a crash shrank its target to its
+        informed count.  It still executes its tick, then retires."""
+        crossed_ids = ids.take(crossed)
+        target = self.parts.target
+        return crossed[self.num_informed.take(crossed_ids) >= target.take(crossed_ids)]
+
+    def __call__(
+        self,
+        ids: np.ndarray,
+        caller_pos: np.ndarray,
+        callee_pos: np.ndarray,
+        caller_informed: np.ndarray,
+        informative: np.ndarray,
+        loss_u: Optional[np.ndarray],
+        tick_time: np.ndarray,
+        absorbed: Optional[np.ndarray],
+    ) -> Optional[np.ndarray]:
+        """Exchange at trials ``ids`` (endpoints at flat ``caller_pos`` /
+        ``callee_pos``; ``informative`` from :meth:`informative`); return
+        the positions (into ``ids``) of the trials that retired, or
+        ``None``.  ``absorbed``: the positions :meth:`absorbed` found."""
+        parts = self.parts
+        if self.mode_pp:
+            targets = np.where(caller_informed, callee_pos, caller_pos)
+        else:
+            targets = callee_pos if self.push_allowed else caller_pos
+        # Never in place: `informative` may be the caller's own array.
+        active = informative
+        if loss_u is not None and parts.adaptive_loss is None:
+            active = active & (loss_u >= parts.loss_threshold(self.bad, ids))
+        if self.up_flat is not None:
+            active = active & self.up_flat.take(caller_pos)
+            active &= self.up_flat.take(callee_pos)
+        if parts.adaptive_loss is not None:
+            jam = active & (loss_u < parts.adaptive_loss.p)
+            jam &= parts.jam_budget.take(ids) > 0
+            if jam.any():
+                parts.jam_budget[ids[jam]] -= 1
+                active = active & ~jam
+        stopped = absorbed
+        if active.any():
+            hits = active.nonzero()[0]
+            hit_ids = ids.take(hits)
+            if self.metrics is not None:
+                self.metrics.count("engine.messages_delivered", int(hits.size))
+            flat = targets.take(hits)
+            self.informed_flat[flat] = True
+            if self.times_flat is not None:
+                self.times_flat[flat] = tick_time.take(hits)
+            self.num_informed[hit_ids] += 1
+            done = self.num_informed.take(hit_ids) >= parts.target.take(hit_ids)
+            if done.any():
+                done = hits[done]
+                stopped = done if stopped is None else np.union1d(stopped, done)
+        if stopped is None or stopped.size == 0:
+            return None
+        done_ids = ids.take(stopped)
+        full = self.num_informed.take(done_ids) == self.n
+        self.completed[done_ids[full]] = True
+        self.completion_time[done_ids[full]] = tick_time.take(stopped)[full]
+        self.live[done_ids] = False
+        return stopped

@@ -572,22 +572,23 @@ def clock_chunk_consume(
     bad: Optional[np.ndarray],
     up: Optional[np.ndarray],
     next_epoch: Optional[np.ndarray],
-    pooled_rng: Optional[np.random.Generator],
+    epoch_rngs: Optional[list],
 ) -> None:
     """Consume one pre-drawn pooled block; identical results to numpy.
 
-    All block randomness is resolved by the engine before this runs, so
-    the compiled per-trial column drain reads the same pooled stream the
-    numpy column loop would.  Blocks with epoch boundaries (churn updates
-    or a burst channel) delegate to the numpy consumer — the crossings
-    draw from ``pooled_rng`` mid-column.
+    The engine resolves all block randomness before this runs, and the
+    compiled drain walks each row column by column, executing every tick
+    the numpy consumer skips: an independent sequential check of that scan
+    (uncompiled under ``REPRO_JIT_PURE_PYTHON=1``).  Blocks with epoch
+    boundaries delegate to the numpy consumer: their crossings run Python
+    scenario code (churn and burst ones draw from ``epoch_rngs[b]``).
     """
     if next_epoch is not None:
         numpy_backend.clock_chunk_consume(
             rows, executed, width, tick_times, callers, callees, loss_block,
             informed, times, num_informed, steps, completed, completion_time,
             live, now, n, time_budget, finite_time_budget, mode_pp, push_allowed,
-            parts, bad, up, next_epoch, pooled_rng,
+            parts, bad, up, next_epoch, epoch_rngs,
         )
         return
     mode_code = 2 if mode_pp else (0 if push_allowed else 1)

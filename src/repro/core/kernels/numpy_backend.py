@@ -2,29 +2,32 @@
 
 The synchronous round step keeps the engine's historical array tricks
 (narrow-dtype gathers, ``casting="unsafe"`` contact arithmetic,
-preallocated round buffers).  The asynchronous tick loop differs from a
-plain one-tick-per-iteration loop in two ways, neither of which changes a
-draw or a result in the per-trial modes:
+preallocated round buffers).  The two asynchronous loops, the global
+view's tick loop and the pooled clock-view block consumer, differ from a
+plain one-tick-per-iteration loop in ways that change no result of the
+draws they consume:
 
-* it *compacts* retired trials out of its working set (order-preserving
-  and threshold-triggered) instead of masking them, so straggler-dominated
-  workloads stop paying full-batch gathers per tick;
-* it *skips ahead*: each iteration moves every live trial straight to its
+* they *compact* retired trials out of their working set instead of
+  masking them, so straggler-dominated workloads stop paying full-batch
+  gathers per tick;
+* they *skip ahead*: each iteration moves every live trial straight to its
   next informative contact (or boundary / over-time tick), since the
   contacts in between cannot change any state.
 
-In the pooled mode the trials advance at different rates, so their buffers
-refill in a different order than a lockstep loop's and the shared stream
-reaches them in a different order: that mode is pinned in distribution
-only (and stays reproducible for a given seed).
+In the pooled global view the trials advance at different rates, so their
+buffers refill in a different order than a lockstep loop's and the shared
+stream reaches them in a different order: that mode is pinned in
+distribution only (and stays reproducible for a given seed).
 """
 
 from __future__ import annotations
 
+import functools
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
+from repro.core.kernels import TickExchange
 from repro.telemetry.metrics import current_metrics
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -43,6 +46,9 @@ _COMPACT_MIN_RETIRED = 32
 #: the next informative tick chooses from, iteration by iteration.
 _WINDOWS = (1, 2, 4, 8, 16, 32, 64)
 
+#: Slot offsets ``0 .. width - 1`` down axis 0 of a scan, per window width.
+_SLOTS = {width: np.arange(width, dtype=np.int64)[:, None] for width in _WINDOWS}
+
 #: Cost model of one scan iteration, in units of one scanned slot of one
 #: row: a fixed per-iteration overhead (the ~100 array calls) shared by the
 #: live rows, plus the selected tick's body per row.  Fitted on a 2-CPU
@@ -52,6 +58,7 @@ _ITERATION_OVERHEAD = 1100.0
 _BODY_COST = 2.0
 
 
+@functools.lru_cache(maxsize=4096)
 def _window_width(rows: int, hit_rate: float) -> int:
     """The scan width with the least expected cost per tick advanced.
 
@@ -272,8 +279,6 @@ def async_tick_loop(state: "AsyncState") -> None:
     parts = state.parts
     pooled_rng = state.pooled_rng
     trial_graphs = state.trial_graphs
-    mode_pp = state.mode == "push-pull"
-    push_allowed = state.mode in ("push", "push-pull")
     step_budget = state.step_budget
     time_budget = state.time_budget
     finite_time_budget = state.finite_time_budget
@@ -283,9 +288,6 @@ def async_tick_loop(state: "AsyncState") -> None:
     next_resample = state.next_resample
     up = state.up
     bad = state.bad
-    # Only absorbing scenarios have targets below n; everything else keeps
-    # the plain completion test.
-    target = parts.target if parts.absorbing else None
     degrees_nw = state.degrees
     max_offset_nw = state.max_offset
     start_nw = state.start
@@ -296,12 +298,8 @@ def async_tick_loop(state: "AsyncState") -> None:
     if not live.any():
         return
     num_informed = state.num_informed
-    completed = state.completed
-    completion_time = state.completion_time
     overtime = state.overtime
     steps_out = state.steps
-    informed_flat = state.informed.reshape(-1)
-    times_flat = state.times.reshape(-1) if state.times is not None else None
 
     # Local (compacted) working set: row i belongs to trial ids[i].  The
     # locals start as the state's own arrays and only become copies at the
@@ -359,12 +357,16 @@ def async_tick_loop(state: "AsyncState") -> None:
     # Telemetry is observational only: deliveries are counted from informed
     # deltas the loop computes anyway, so no draw order or state changes.
     metrics = current_metrics()
+    exchange = TickExchange(
+        state.informed, state.times, up, num_informed, state.completed,
+        state.completion_time, live, state.mode, parts, bad, metrics,
+    )
+    informed_flat = exchange.informed_flat
     # Index bases derived from `rows` (flat positions into the local
     # buffers and the absolute (B, n) state), recomputed only when the
     # live set changes.
     pos_base = row_base = w_base = abs_rows = None
     tg_width = trial_graphs.width if trial_graphs is not None else None
-    windows = {width: np.arange(width, dtype=np.int64)[:, None] for width in _WINDOWS}
     column = np.arange(0, dtype=np.int64)
     # Decaying counts of scan stops and scanned slots: the running estimate
     # of the informative-contact rate the window width is chosen for.
@@ -417,8 +419,8 @@ def async_tick_loop(state: "AsyncState") -> None:
         m = rows.size
         if column.size != m:
             column = np.arange(m, dtype=np.int64)
-        width = _window_width(m, stops_seen / slots_seen)
-        window = windows[width]
+        width = _window_width(m, round(stops_seen / slots_seen, 3))
+        window = _SLOTS[width]
 
         # Scan each row's next `width` buffered contacts (clamped to its
         # buffer end) against the current informed set.  Until the first
@@ -448,14 +450,12 @@ def async_tick_loop(state: "AsyncState") -> None:
             np.minimum(offsets, max_offset_nw.take(caller_w, mode="clip"), out=offsets)
             offsets += start_nw.take(caller_w, mode="clip")
             callee_w = indices_nw.take(offsets, mode="clip")
+        callee_pos_w = row_base + callee_w
         caller_informed_w = informed_flat.take(caller_pos_w, mode="clip")
-        callee_informed_w = informed_flat.take(row_base + callee_w, mode="clip")
-        if mode_pp:
-            stop = caller_informed_w != callee_informed_w
-        elif push_allowed:
-            stop = caller_informed_w > callee_informed_w
-        else:
-            stop = caller_informed_w < callee_informed_w
+        informative_w = exchange.informative(
+            caller_informed_w, informed_flat.take(callee_pos_w, mode="clip")
+        )
+        stop = informative_w
         # Tick times as the serial engine forms them, one `now += gap` at a
         # time: add.accumulate sums each row strictly in slot order.
         clock = np.empty((width + 1, m))
@@ -463,8 +463,10 @@ def async_tick_loop(state: "AsyncState") -> None:
         gaps_flat.take(scan, out=clock[1:], mode="clip")
         np.cumsum(clock, axis=0, out=clock)
         tick_w = clock[1:]
+        over_w = crossing_w = None
         if finite_time_budget and float(clock[-1].max()) > time_budget:
-            stop |= tick_w > time_budget
+            over_w = tick_w > time_budget
+            stop = stop | over_w
         if has_boundaries and float(clock[-1].max()) >= boundary_floor:
             if next_epoch is None:
                 bound = next_resample.take(abs_rows)
@@ -474,71 +476,45 @@ def async_tick_loop(state: "AsyncState") -> None:
                 bound = np.minimum(
                     next_epoch.take(abs_rows), next_resample.take(abs_rows)
                 )
-            stop |= tick_w >= bound
+            crossing_w = tick_w >= bound
+            stop = stop | crossing_w
         # The selected tick: the first stop, else the window's last contact
         # (uninformative, so executing it below changes nothing).
         skip = np.where(stop, window, width - 1).min(axis=0)
         np.minimum(skip, last - head, out=skip)
         picked = skip * m + column
-        stops_seen = 0.75 * stops_seen + np.count_nonzero(stop.take(picked))
+        stops_seen = 0.75 * stops_seen + int(np.count_nonzero(stop.take(picked)))
         slots_seen = 0.75 * slots_seen + float(skip.sum()) + m
         tick_time = clock.take(picked + m)
-        caller = caller_w.take(picked)
+        caller_pos = caller_pos_w.take(picked)
         uniform = uniform_w.take(picked)
-        callee = callee_w.take(picked)
+        callee_pos = callee_pos_w.take(picked)
         caller_informed = caller_informed_w.take(picked)
-        callee_informed = callee_informed_w.take(picked)
+        informative = informative_w.take(picked)
         loss_u = loss_flat.take(head + skip, mode="clip") if loss_flat is not None else None
         positions[rows] = cursor + skip + 1
         now[rows] = tick_time
 
-        if finite_time_budget:
-            over_time = tick_time > time_budget
-            if over_time.any():
-                over_rows = rows[over_time]
-                over_ids = abs_rows[over_time]
-                live[over_ids] = False
-                overtime[over_ids] = True
-                steps_out[over_ids] = chunk_base.take(over_rows) + positions.take(over_rows)
-                alive[over_rows] = False
-                retired += over_rows.size
-                keep = ~over_time
-                rows = rows[keep]
-                pos_base = pos_base[keep]
-                row_base = row_base[keep]
-                abs_rows = abs_rows[keep]
-                if w_base is not None:
-                    w_base = w_base[keep]
-                caller = caller[keep]
-                callee = callee[keep]
-                caller_informed = caller_informed[keep]
-                callee_informed = callee_informed[keep]
-                uniform = uniform[keep]
-                tick_time = tick_time[keep]
-                if loss_u is not None:
-                    loss_u = loss_u[keep]
-                if rows.size == 0:
-                    if _compact_due():
-                        _compact()
-                    rows = np.flatnonzero(alive)
-                    pos_base = None
-                    continue
-        stopped = None
-        if has_boundaries and float(tick_time.max()) >= boundary_floor:
+        gone = None  # local rows retiring this iteration
+        over = over_w.take(picked) if over_w is not None else None
+        if over is not None and over.any():
+            # Popped and counted, but it crosses no boundary and informs
+            # no one.
+            gone = rows[over]
+            over_ids = abs_rows[over]
+            live[over_ids] = False
+            overtime[over_ids] = True
+            steps_out[over_ids] = chunk_base.take(gone) + positions.take(gone)
+        absorbed = None
+        if crossing_w is not None:
             # Boundaries at integer times (churn/burst epochs) and at
             # dynamic-graph periods: every boundary crossed in
             # (previous tick, now] fires before the exchange at `now`, in
             # chronological order with the epoch first on ties — drawing
             # the same interleaved randomness the serial engine does.
-            if next_epoch is None:
-                bound = next_resample.take(abs_rows)
-            elif next_resample is None:
-                bound = next_epoch.take(abs_rows)
-            else:
-                bound = np.minimum(
-                    next_epoch.take(abs_rows), next_resample.take(abs_rows)
-                )
-            crossing = tick_time >= bound
+            crossing = crossing_w.take(picked)
+            if over is not None:
+                crossing &= ~over
             if crossing.any():
                 for l, t in zip(rows[crossing], tick_time[crossing]):
                     rng = pooled_rng if pooled_rng is not None else local_gens[l]
@@ -554,23 +530,8 @@ def async_tick_loop(state: "AsyncState") -> None:
                     boundary_floor = float(next_epoch.min())
                 if next_resample is not None:
                     boundary_floor = min(boundary_floor, float(next_resample.min()))
-                if target is not None:
-                    # A crash can leave a trial absorbed: it still executes
-                    # this tick, then retires with the informing ones below.
-                    crossed = rows[crossing]
-                    crossed_ids = ids.take(crossed)
-                    stopped = crossed[
-                        num_informed.take(crossed_ids) >= target.take(crossed_ids)
-                    ]
-        # The loss threshold depends on the burst channel state *after* the
-        # boundaries at this tick fired, so it resolves only now.  Under an
-        # adaptive jammer the uniform is judged later, against the
-        # would-transmit mask, not here.
-        lost = (
-            loss_u < parts.loss_threshold(bad, abs_rows)
-            if loss_u is not None and parts.adaptive_loss is None
-            else None
-        )
+                if parts.absorbing:
+                    absorbed = exchange.absorbed(np.flatnonzero(crossing), abs_rows)
 
         if trial_graphs is not None:
             # A resample at this tick replaced the trial's graph: draw the
@@ -578,62 +539,23 @@ def async_tick_loop(state: "AsyncState") -> None:
             if trial_graphs.width != tg_width:  # a resample grew the pad
                 tg_width = trial_graphs.width
                 w_base = abs_rows * tg_width
-            callee = trial_graphs.callees_at(row_base + caller, w_base, uniform)
-            callee_informed = informed_flat.take(row_base + callee, mode="clip")
-        # One contact per trial per tick, so the exchange vectorises with no
-        # intra-iteration conflicts: push informs the callee, pull informs
-        # the caller, and in push-pull exactly the uninformed endpoint of an
-        # informative contact (caller_informed XOR callee_informed) learns.
-        if mode_pp:
-            active = caller_informed != callee_informed
-            targets = np.where(caller_informed, callee, caller)
-        elif push_allowed:
-            active = caller_informed & ~callee_informed
-            targets = callee
-        else:
-            active = ~caller_informed & callee_informed
-            targets = caller
-        if lost is not None:
-            active &= ~lost
-        if up is not None:
-            # Crashed endpoints suppress the exchange in either direction.
-            active &= up[abs_rows, caller] & up[abs_rows, callee]
-        if parts.adaptive_loss is not None:
-            # `active` is now exactly the would-transmit mask: jam the
-            # contacts whose pre-drawn uniform fires, while budget remains.
-            jam = active & (loss_u < parts.adaptive_loss.p) & (
-                parts.jam_budget[abs_rows] > 0
+            callee_pos = row_base + trial_graphs.callees_at(caller_pos, w_base, uniform)
+            informative = exchange.informative(
+                caller_informed, informed_flat.take(callee_pos, mode="clip")
             )
-            if jam.any():
-                parts.jam_budget[abs_rows[jam]] -= 1
-                active &= ~jam
-        if active.any():
-            active_ids = abs_rows[active]
-            if metrics is not None:
-                metrics.count("engine.messages_delivered", int(active_ids.size))
-            active_flat = row_base[active] + targets[active]
-            informed_flat[active_flat] = True
-            if times_flat is not None:
-                times_flat[active_flat] = tick_time[active]
-            num_informed[active_ids] += 1
-            if target is None:
-                done_mask = num_informed[active_ids] == n
-            else:
-                done_mask = num_informed[active_ids] >= target[active_ids]
-            if done_mask.any():
-                done_local = rows[active][done_mask]
-                stopped = (
-                    done_local if stopped is None else np.union1d(stopped, done_local)
-                )
-        if stopped is not None and stopped.size:
-            done_ids = ids.take(stopped)
-            full = num_informed[done_ids] == n
-            completed[done_ids[full]] = True
-            completion_time[done_ids[full]] = now.take(stopped[full])
-            steps_out[done_ids] = chunk_base.take(stopped) + positions.take(stopped)
-            live[done_ids] = False
-            alive[stopped] = False
-            retired += stopped.size
+        if over is not None:
+            informative = informative & ~over
+        stopped = exchange(
+            abs_rows, caller_pos, callee_pos, caller_informed, informative,
+            loss_u, tick_time, absorbed,
+        )
+        if stopped is not None:
+            stopped = rows.take(stopped)
+            steps_out[ids.take(stopped)] = chunk_base.take(stopped) + positions.take(stopped)
+            gone = stopped if gone is None else np.concatenate((gone, stopped))
+        if gone is not None:
+            alive[gone] = False
+            retired += gone.size
             if _compact_due():
                 _compact()
             rows = np.flatnonzero(alive)
@@ -671,112 +593,174 @@ def clock_chunk_consume(
     bad: Optional[np.ndarray],
     up: Optional[np.ndarray],
     next_epoch: Optional[np.ndarray],
-    pooled_rng: Optional[np.random.Generator],
+    epoch_rngs: Optional[list],
 ) -> None:
     """Consume one pre-drawn ``(rows, width)`` block of pooled clock ticks.
 
-    The column loop of the chunked pooled fast path: all randomness
-    (``tick_times`` / ``callers`` / ``callees`` / ``loss_block``) is
-    already resolved by the engine; only churn/burst epoch crossings draw
-    from ``pooled_rng`` mid-block.  Mutates the absolute per-trial state
-    in place.  The column loop touches ``steps`` only at retirement: while
-    alive, every trial executes every column, so the count is implied by
-    the column index (``executed + column``).  A trial retires after the
-    column that brings its informed count to its absorbing target
-    (``parts.target``; ``n`` unless the scenario can absorb).
+    All randomness of the block (``tick_times`` / ``callers`` /
+    ``callees`` / ``loss_block``) is already resolved by the engine, so
+    each trial skips ahead through its own row, as in
+    :func:`async_tick_loop`: every iteration scans the next few columns
+    (:func:`_window_width` picks how many) of each live row and stops at
+    the first contact that can change a state — the endpoint pattern the
+    mode can use, both endpoints up, not lost (the adaptive jammer's
+    uniform is judged later, on would-transmit contacts only) — or at the
+    first tick past ``max_time`` or at/after the row's ``next_epoch``.
+    Only that tick runs through the epoch crossing and
+    :class:`~repro.core.kernels.TickExchange`; up/down states and burst
+    channels change only at crossings, so the skipped columns change
+    nothing and the results equal a column-by-column walk's.  Crossings of
+    churn updates or a burst channel draw from the trial's own stream
+    ``epoch_rngs[b]`` (``None`` when no crossing draws): trials reach
+    their crossings at different columns, so a shared stream would make
+    one trial's draws depend on the others'.
+
+    Mutates the absolute per-trial state in place.  ``steps`` changes only
+    at retirement and at the block's end: while alive, a trial executes
+    every column.  A trial retires after the column that brings its
+    informed count to its absorbing target (``parts.target``; ``n`` unless
+    the scenario can absorb); the first over-budget tick is popped but not
+    executed (no step counted), as in the serial engine.
     """
-    target = parts.target
-    alive = np.ones(rows.size, dtype=bool)
-    local = np.arange(rows.size, dtype=np.int64)
-    active_rows = rows
-    for column in range(width):
-        tick_time = tick_times[local, column]
-        if finite_time_budget:
-            # Like the serial engine: the first over-budget event is
-            # popped but not executed (no step counted).
-            over = tick_time > time_budget
-            if over.any():
-                over_local = local[over]
-                live[rows[over_local]] = False
-                alive[over_local] = False
-                steps[rows[over_local]] = executed + column
-                local = local[~over]
-                if local.size == 0:
-                    break
-                active_rows = rows[local]
-                tick_time = tick_time[~over]
-        stopped = None
-        if next_epoch is not None:
-            # Churn/burst epochs at integer times, as in the per-trial
-            # kernel; the updates draw from the pooled generator.
-            crossing = tick_time >= next_epoch[active_rows]
-            if crossing.any():
-                for b, t in zip(active_rows[crossing], tick_time[crossing]):
-                    parts.cross_boundaries(
-                        b, t, pooled_rng, n, up, bad, next_epoch, None, None,
-                        informed,
-                    )
-                if parts.absorbing:
-                    # A crash can leave a trial absorbed: it still executes
-                    # this column, then retires.
-                    crossed = local[crossing]
-                    crossed_rows = rows[crossed]
-                    stopped = crossed[
-                        num_informed[crossed_rows] >= target[crossed_rows]
-                    ]
-        caller = callers[local, column]
-        callee = callees[local, column]
-        caller_informed = informed[active_rows, caller]
-        callee_informed = informed[active_rows, callee]
-        if mode_pp:
-            active = caller_informed != callee_informed
-            targets = np.where(caller_informed, callee, caller)
-        elif push_allowed:
-            active = caller_informed & ~callee_informed
-            targets = callee
+    mode = "push-pull" if mode_pp else ("push" if push_allowed else "pull")
+    exchange = TickExchange(
+        informed, times, up, num_informed, completed, completion_time, live, mode,
+        parts, bad,
+    )
+    informed_flat = exchange.informed_flat
+    up_flat = exchange.up_flat
+    tick_flat = tick_times.reshape(-1)
+    # The block's endpoints as flat positions of the (B, n) state.
+    row_base = (rows * n)[:, None]
+    caller_flat = (callers + row_base).reshape(-1)
+    callee_flat = (callees + row_base).reshape(-1)
+    loss_flat = loss_block.reshape(-1) if loss_block is not None else None
+    screen_loss = loss_flat is not None and parts.adaptive_loss is None
+    last = width - 1
+    # The working set, compacted whenever a row leaves it (retired, or
+    # through the block): trial ids, the flat slots of each row's first
+    # and last columns, and each row's next column.
+    ids = rows
+    slot_base = np.arange(rows.size, dtype=np.int64) * width
+    slot_last = slot_base + last
+    cursor = np.zeros(rows.size, dtype=np.int64)
+    column = np.arange(rows.size, dtype=np.int64)
+    lead = 0  # an upper bound on cursor.max(): the block-end test is rare
+    # A lower bound on the pending epochs of the working set.
+    epoch_floor = float(next_epoch.take(rows).min()) if next_epoch is not None else np.inf
+    # Decaying counts of scan stops and scanned slots (see async_tick_loop).
+    stops_seen, slots_seen = 1.0, 16.0
+    while ids.size:
+        m = ids.size
+        if column.size != m:
+            column = np.arange(m, dtype=np.int64)
+        scan_width = _window_width(m, round(stops_seen / slots_seen, 3))
+        # Slot j of row i sits at [j, i] (a width-1 scan is each row's next
+        # slot), clamped to the row's last column.
+        head = slot_base + cursor
+        if scan_width == 1:
+            scan = head
         else:
-            active = ~caller_informed & callee_informed
-            targets = caller
-        if loss_block is not None and parts.adaptive_loss is None:
-            active &= loss_block[local, column] >= parts.loss_threshold(
-                bad, active_rows
+            scan = np.minimum(head + _SLOTS[scan_width], slot_last)
+        caller_pos_w = caller_flat.take(scan)
+        callee_pos_w = callee_flat.take(scan)
+        caller_informed_w = informed_flat.take(caller_pos_w)
+        informative_w = exchange.informative(
+            caller_informed_w, informed_flat.take(callee_pos_w)
+        )
+        stop = informative_w
+        if up_flat is not None:
+            stop = stop & up_flat.take(caller_pos_w)
+            stop &= up_flat.take(callee_pos_w)
+        if screen_loss:
+            stop = stop & (loss_flat.take(scan) >= parts.loss_threshold(bad, ids))
+        tick_w = over_w = crossing_w = None
+        if finite_time_budget or next_epoch is not None:
+            tick_w = tick_flat.take(scan)
+            latest = float(tick_w.max())
+            if latest > time_budget:
+                over_w = tick_w > time_budget
+                stop = stop | over_w
+            if latest >= epoch_floor:
+                crossing_w = tick_w >= next_epoch.take(ids)
+                stop = stop | crossing_w
+        advanced = m
+        if scan_width == 1:
+            picked = None  # the scan arrays are already one slot per row
+            hit = stop
+        else:
+            # The selected slot: the first stop, else the window's last
+            # (which then only moves the cursor, past the block end if the
+            # scan was clamped there: the row is then through).
+            skip = np.where(stop, _SLOTS[scan_width], scan_width - 1).min(axis=0)
+            picked = skip * m + column
+            hit = stop.take(picked)
+            cursor += skip
+            head += skip
+            advanced += int(skip.sum())
+        cursor += 1
+        lead += scan_width
+        gone = None  # positions of the rows that retire this iteration
+        if over_w is not None:
+            over = _sub(over_w, picked)
+            if over.any():
+                gone = over.nonzero()[0]
+                live[ids.take(gone)] = False
+                steps[ids.take(gone)] = executed + cursor.take(gone) - 1
+                hit = hit & ~over
+        # `sel`: the rows whose selected tick is a stop (None: all of them);
+        # `at`: where those ticks sit in the scan arrays.
+        sel: Optional[np.ndarray] = hit.nonzero()[0]
+        stops = sel.size
+        stops_seen = 0.75 * stops_seen + stops
+        slots_seen = 0.75 * slots_seen + advanced
+        if stops:
+            if stops == m:
+                sel = None
+            at = sel if picked is None else _sub(picked, sel)
+            sel_ids = _sub(ids, sel)
+            tick_time = _sub(tick_w, at) if tick_w is not None else tick_flat.take(_sub(head, sel))
+            absorbed = None
+            if crossing_w is not None:
+                crossing = _sub(crossing_w, at).nonzero()[0]
+                for j in crossing:
+                    b = int(sel_ids[j])
+                    parts.cross_boundaries(
+                        b, tick_time[j], epoch_rngs[b] if epoch_rngs is not None else None,
+                        n, up, bad, next_epoch, None, None, informed,
+                    )
+                if crossing.size:
+                    epoch_floor = float(next_epoch.take(ids).min())
+                    if parts.absorbing:
+                        absorbed = exchange.absorbed(crossing, sel_ids)
+            stopped = exchange(
+                sel_ids, _sub(caller_pos_w, at), _sub(callee_pos_w, at),
+                _sub(caller_informed_w, at), _sub(informative_w, at),
+                loss_flat.take(_sub(head, sel)) if loss_flat is not None else None,
+                tick_time, absorbed,
             )
-        if up is not None:
-            active &= up[active_rows, caller] & up[active_rows, callee]
-        if parts.adaptive_loss is not None:
-            jam = active & (loss_block[local, column] < parts.adaptive_loss.p) & (
-                parts.jam_budget[active_rows] > 0
+            if stopped is not None:
+                if sel is not None:
+                    stopped = sel.take(stopped)
+                steps[ids.take(stopped)] = executed + cursor.take(stopped)
+                gone = stopped if gone is None else np.concatenate((gone, stopped))
+        if lead > last:
+            lead = int(cursor.max())
+        if lead > last:  # rows through the block: every column executed
+            through = (cursor > last).nonzero()[0]
+            if gone is not None:
+                through = np.setdiff1d(through, gone)
+            steps[ids.take(through)] = executed + width
+            now[ids.take(through)] = tick_flat.take(slot_last.take(through))
+            gone = through if gone is None else np.concatenate((gone, through))
+        if gone is not None:
+            keep = np.ones(m, dtype=bool)
+            keep[gone] = False
+            ids, slot_base, slot_last, cursor = (
+                ids[keep], slot_base[keep], slot_last[keep], cursor[keep]
             )
-            if jam.any():
-                parts.jam_budget[active_rows[jam]] -= 1
-                active &= ~jam
-        if active.any():
-            hit_local = local[active]
-            hit_rows = rows[hit_local]
-            hit_targets = targets[active]
-            hit_times = tick_time[active]
-            informed[hit_rows, hit_targets] = True
-            if times is not None:
-                times[hit_rows, hit_targets] = hit_times
-            num_informed[hit_rows] += 1
-            done = num_informed[hit_rows] >= target[hit_rows]
-            if done.any():
-                full = num_informed[hit_rows] == n
-                completed[hit_rows[full]] = True
-                completion_time[hit_rows[full]] = hit_times[full]
-                done_local = hit_local[done]
-                stopped = (
-                    done_local if stopped is None else np.union1d(stopped, done_local)
-                )
-        if stopped is not None and stopped.size:
-            done_rows = rows[stopped]
-            steps[done_rows] = executed + column + 1
-            live[done_rows] = False
-            alive[stopped] = False
-            local = np.flatnonzero(alive)
-            if local.size == 0:
-                break
-            active_rows = rows[local]
-    if local.size:
-        steps[active_rows] = executed + width
-        now[active_rows] = tick_times[local, width - 1]
+
+
+def _sub(values: np.ndarray, at: Optional[np.ndarray]) -> np.ndarray:
+    """``values`` at the flat positions ``at`` (``None``: all of them)."""
+    return values if at is None else values.take(at)

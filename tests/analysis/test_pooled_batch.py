@@ -16,7 +16,7 @@ from scipy import stats as scipy_stats
 from helpers.equivalence import assert_same_distribution
 from repro.analysis.montecarlo import run_trials
 from repro.core.batch_engine import run_batch
-from repro.core.kernels import jit_backend
+from repro.core.kernels import jit_backend, numpy_backend
 from repro.errors import AnalysisError, ProtocolError
 from repro.graphs import complete_graph, star_graph
 from repro.graphs.random_graphs import random_regular_graph
@@ -294,8 +294,11 @@ class TestChunkedPooledClockViews:
             BurstLoss(0.3, 0.5, 0.8),
             NodeChurn(0.1, 0.5),
             Delay(low=0.5, high=2.0),
+            # One crossing draws the churn uniforms and then the burst
+            # uniform, both from the trial's own epoch stream.
+            NodeChurn(0.1, 0.5) | BurstLoss(0.3, 0.5, 0.8),
         ],
-        ids=lambda s: s.spec().split(":")[0],
+        ids=lambda s: "+".join(part.split(":")[0] for part in s.spec().split("+")),
     )
     def test_chunked_scenarios_match_per_trial_distribution(self, view, scenario, backend):
         """The pooled fast path carries every non-dynamic runtime scenario;
@@ -318,6 +321,54 @@ class TestChunkedPooledClockViews:
             min_pvalue=0.01,
             label=f"chunked pooled vs per-trial {view} under {scenario.spec()}",
         )
+
+    def test_block_crossing_several_epochs_consumes_them_in_order(self):
+        """A row whose block spans several unit epochs crosses each one at
+        its first tick at or after it — several at once after a long gap —
+        drawing churn then burst uniforms from its own stream, epoch by
+        epoch.  Replaying each trial's stream epoch by epoch must give the
+        consumer's final up/down and channel states."""
+        from repro.core.batch_engine import _ScenarioParts
+
+        n, trials, width = 6, 3, 40
+        graph = complete_graph(n)
+        churn, burst = NodeChurn(0.3, 0.5), BurstLoss(0.4, 0.4, 0.5)
+        parts = _ScenarioParts(churn | burst)
+        rows = np.arange(trials)
+        gaps = np.full((trials, width), 0.3)
+        gaps[1] = 0.45
+        gaps[2, 5] = 2.6  # one tick crosses three epochs at once
+        tick_times = np.cumsum(gaps, axis=1)
+        # The informed source always calls: no pull can inform anyone, so
+        # every row runs to the block end and only the epochs stop its scan.
+        callers = np.zeros((trials, width), dtype=np.int64)
+        callees = np.tile(np.arange(width) % (n - 1) + 1, (trials, 1))
+        informed = np.zeros((trials, n), dtype=bool)
+        informed[:, 0] = True
+        num_informed = np.ones(trials, dtype=np.int64)
+        up = parts.initial_up(graph, trials)
+        bad = np.zeros(trials, dtype=bool)
+        next_epoch = np.ones(trials)
+        parts.init_targets(graph, np.zeros(trials, dtype=np.int64), informed, up)
+        steps = np.zeros(trials, dtype=np.int64)
+        now = np.zeros(trials)
+        numpy_backend.clock_chunk_consume(
+            rows, 0, width, tick_times, callers, callees,
+            np.random.default_rng(1).random((trials, width)), informed, None,
+            num_informed, steps, np.zeros(trials, dtype=bool),
+            np.full(trials, np.inf), np.ones(trials, dtype=bool), now, n, np.inf,
+            False, False, False, parts, bad, up, next_epoch,
+            spawn_generators(trials, 9),
+        )
+        assert (steps == width).all() and np.array_equal(now, tick_times[:, -1])
+        for b, rng in enumerate(spawn_generators(trials, 9)):
+            epochs = int(np.floor(tick_times[b, -1]))
+            assert next_epoch[b] == epochs + 1.0
+            up_b, bad_b = churn.initial_up(graph), False
+            for _ in range(epochs):
+                up_b = churn.step(up_b, rng.random(n))
+                bad_b = bool(burst.step_state(bad_b, rng.random()))
+            assert np.array_equal(up[b], up_b) and bad[b] == bad_b
 
     def test_dynamic_scenario_routes_through_the_unchunked_pooled_loop(self):
         """Dynamic graphs cannot use the pre-resolved callee blocks; the

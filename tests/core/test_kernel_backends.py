@@ -31,7 +31,7 @@ from repro.core.kernels import (
 from repro.errors import ProtocolError
 from repro.graphs import complete_graph
 from repro.graphs.random_graphs import random_regular_graph
-from repro.scenarios import MessageLoss
+from repro.scenarios import AdaptiveCrash, AdaptiveLoss, Delay, MessageLoss, NodeChurn
 
 #: A cross-section of the registry for the pure-python jit replay: cheap to
 #: run everywhere, yet spanning sync/async protocols, views, and scenarios.
@@ -130,21 +130,40 @@ class TestPurePythonJit:
     def test_registry_cross_section_replays_serial(self, case):
         assert_kernel_case(case, backend="jit")
 
-    @pytest.mark.parametrize("scenario", [None, MessageLoss(0.2)], ids=["plain", "loss"])
-    def test_chunked_pooled_clock_view_is_bit_identical_across_backends(self, scenario):
+    @pytest.mark.parametrize("view", ["node_clocks", "edge_clocks"])
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            None,
+            MessageLoss(0.2),
+            AdaptiveLoss(p=0.8, budget=10),
+            Delay(low=0.5, high=2.0),
+            NodeChurn(0.1, 0.5),
+            AdaptiveCrash(budget=3, k=1),
+        ],
+        ids=["plain", "loss", "adaptive-loss", "delay", "churn", "adaptive-crash"],
+    )
+    def test_chunked_pooled_clock_view_is_bit_identical_across_backends(
+        self, view, scenario
+    ):
         # The chunked pooled consumer pre-draws whole (B, chunk) blocks, so
         # unlike the pooled global view the jit backend consumes the pooled
-        # stream in exactly the numpy order — same seed, same results.
+        # stream in exactly the numpy order — same seed, same results.  The
+        # jit drain walks every column of every row, so (uncompiled here) it
+        # is an independent sequential check of the numpy consumer's
+        # skip-ahead scan; blocks with epochs (churn, adaptive crash) run
+        # the numpy consumer on both backends.
         graph = random_regular_graph(24, 4, seed=3)
         results = {
             backend: run_clock_view_batch(
-                graph, 0, view="node_clocks", trials=50,
+                graph, 0, view=view, trials=50,
                 pooled_rng=np.random.default_rng(11), scenario=scenario,
-                backend=backend,
+                backend=backend, max_steps=5000, on_budget_exhausted="partial",
             )
             for backend in ("numpy", "jit")
         }
-        assert np.array_equal(
-            results["numpy"].completion_time, results["jit"].completion_time
-        )
-        assert np.array_equal(results["numpy"].steps, results["jit"].steps)
+        numpy_run, jit_run = results["numpy"], results["jit"]
+        assert np.array_equal(numpy_run.completion_time, jit_run.completion_time)
+        assert np.array_equal(numpy_run.steps, jit_run.steps)
+        assert np.array_equal(numpy_run.termination, jit_run.termination)
+        assert np.array_equal(numpy_run.informed_time, jit_run.informed_time)
