@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers.equivalence import assert_same_distribution
@@ -89,27 +89,48 @@ class TestBurstLossStationaryHypothesis:
         p_loss_bad=st.floats(0.0, 1.0),
         p_loss_good=st.floats(0.0, 0.9),
     )
+    # A slowly mixing chain that a fixed +-0.06 band once rejected (2.9
+    # standard errors at 4000 epochs).
+    @example(p_gb=0.125, p_bg=0.0547, p_loss_bad=0.9, p_loss_good=0.1)
     def test_empirical_loss_rate_matches_stationary_formula(
         self, p_gb, p_bg, p_loss_bad, p_loss_good
     ):
-        """Simulate the chain exactly as the engines do (one state draw per
-        epoch, one loss coin per exchange) and compare the observed loss
-        frequency to the closed form."""
+        """Simulate the chain exactly as the batched engines do (one state
+        draw per trial per epoch, one loss coin per exchange) and compare
+        the observed loss frequency to the closed form.
+
+        Successive epochs are correlated: the bad-state indicator has lag-k
+        autocorrelation ``lam**k`` with ``lam = 1 - p_gb - p_bg``, which
+        inflates the variance of its mean over ``N`` epochs by
+        ``(1 + lam) / (1 - lam)`` (asymptotically).  The chains start from
+        the stationary law (no burn-in bias), the tolerances are five such
+        standard errors, and slowly mixing chains run proportionally more
+        epochs (up to 10x).
+        """
         burst = BurstLoss(p_gb, p_bg, p_loss_bad, p_loss_good=p_loss_good)
         rng = np.random.default_rng(
             abs(hash((round(p_gb, 6), round(p_bg, 6), round(p_loss_bad, 6)))) % 2**32
         )
-        epochs = 4000
-        bad = False
+        lam = 1.0 - p_gb - p_bg
+        inflation = (1.0 + lam) / (1.0 - lam)
+        expected_bad = p_gb / (p_gb + p_bg)
+        chains = 50
+        epochs = int(80 * min(10.0, max(1.0, inflation)))
+        bad = rng.random(chains) < expected_bad
         losses = 0
         bad_epochs = 0
         for _ in range(epochs):
-            bad = bool(burst.step_state(bad, rng.random()))
-            bad_epochs += bad
-            losses += rng.random() < float(burst.loss_at(bad))
-        expected_bad = p_gb / (p_gb + p_bg)
-        assert bad_epochs / epochs == pytest.approx(expected_bad, abs=0.06)
-        assert losses / epochs == pytest.approx(burst.stationary_loss_rate, abs=0.06)
+            bad = burst.step_state(bad, rng.random(chains))
+            bad_epochs += int(bad.sum())
+            losses += int((rng.random(chains) < burst.loss_at(bad)).sum())
+        samples = chains * epochs
+        rate = burst.stationary_loss_rate
+        # The loss coin adds independent noise to the correlated state part.
+        state_var = (p_loss_bad - p_loss_good) ** 2 * expected_bad * (1.0 - expected_bad)
+        se_bad = np.sqrt(expected_bad * (1.0 - expected_bad) * inflation / samples)
+        se_loss = np.sqrt((rate * (1.0 - rate) + 2.0 * state_var * lam / (1.0 - lam)) / samples)
+        assert bad_epochs / samples == pytest.approx(expected_bad, abs=5 * se_bad)
+        assert losses / samples == pytest.approx(rate, abs=5 * se_loss + 1e-12)
 
     @settings(max_examples=25, deadline=None)
     @given(
