@@ -35,18 +35,15 @@ least 5x today's serial aux engine on the 1024-vertex random regular graph
 (while double-checking the fixed-seed sample equality), so the Theorem-1
 suites can rely on the fast path staying fast.
 
-The PR-4 gates cover the zero-copy parallel layer and the pooled clock-view
-fast path:
-
-* ``test_shared_sweep_speedup_over_per_call_executor`` runs a 16-point
-  sweep through ``run_trials_parallel`` (shared-memory results) on the session's
-  persistent pool and asserts >= 3x the frozen pre-PR-4 baseline (a fresh
-  ``ProcessPoolExecutor`` per grid point, graph pickled into every chunk,
-  samples pickled back, pairwise ``merged_with`` chain) — while checking
-  the two paths stay bit-identical;
-* ``test_chunked_pooled_clock_view_speedup`` asserts the chunked pooled
-  ``node_clocks``/``edge_clocks`` kernel at >= 4x the unchunked pooled path
-  (``pooled_chunk=0``, the legacy per-tick-draw next-tick-table loop).
+The sweep gate covers the zero-copy parallel layer:
+``test_shared_sweep_speedup_over_per_call_executor`` runs a 16-point sweep
+through ``run_trials_parallel`` (shared-memory results) on the session's
+persistent pool and asserts >= 3x a frozen copy of the dispatch it replaced
+(a fresh ``ProcessPoolExecutor`` per grid point, graph pickled into every chunk,
+samples pickled back, pairwise ``merged_with`` chain) — while checking the
+two paths stay bit-identical.  The pooled asynchronous kernel has no gate
+here: it has no second implementation to race, and perfbench's
+``scenario-sweep`` times it end to end.
 
 The PR-6 gate covers the compiled kernel tier:
 ``test_jit_sync_round_speedup_over_numpy`` asserts the numba jit backend
@@ -56,6 +53,12 @@ bit-identical samples double-checked).  On a numba-free machine the gate
 skips but still writes a ``skipped`` record, so BENCH_batch.json shows
 *why* the number is missing rather than silently omitting it.
 
+The seed-baseline, dynamic-graph, shared-sweep and telemetry gates time
+their two sides in interleaved pairs (:func:`paired_ratio`): the gated
+number is the median paired ratio, and pairs are added until its bootstrap
+CI is narrower than the gate's margin, so a single noisy sample on a shared
+machine can neither pass nor fail them.
+
 Every gate records its measured numbers through ``bench_record`` into
 ``BENCH_batch.json`` (see ``conftest.py``).
 """
@@ -64,6 +67,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -75,7 +79,8 @@ from repro.analysis.parallel import (
     run_trials_parallel,
 )
 from repro.analysis.pool import shutdown_pool
-from repro.core.batch_engine import run_clock_view_batch, run_synchronous_batch
+from repro.analysis.statistics import bootstrap_median_interval
+from repro.core.batch_engine import run_synchronous_batch
 from repro.core.flatgraph import flat_adjacency
 from repro.core.kernels import jit_backend, warmup_kernels
 from repro.graphs.random_graphs import random_regular_graph
@@ -150,20 +155,6 @@ def _dynamic_scenario():
         for index in range(DYNAMIC_POOL)
     ]
     return DynamicGraph(_PooledGraphResampler(pool), period=DYNAMIC_PERIOD)
-
-
-#: The chunked pooled clock-view gate: per-view workloads sized so the
-#: unchunked baseline's per-tick (B, #clocks) argmin is the dominant cost
-#: it is in real sweeps (edge_clocks has ~n*d clocks per trial, so it gates
-#: on a smaller graph).
-CLOCK_VIEW_WORKLOADS = {
-    "node_clocks": (1024, 8),
-    "edge_clocks": (512, 8),
-}
-CLOCK_VIEW_TRIALS = {
-    "node_clocks": {"smoke": 160, "quick": 224, "full": 320},
-    "edge_clocks": {"smoke": 64, "quick": 96, "full": 160},
-}
 
 
 @pytest.fixture(scope="module")
@@ -244,6 +235,83 @@ def _throughput(fn, trials):
     start = time.perf_counter()
     fn()
     return trials / (time.perf_counter() - start)
+
+
+def _seconds(fn):
+    """A callable timing one run of ``fn`` (for :func:`paired_ratio`)."""
+
+    def timed():
+        start = time.perf_counter()
+        fn()
+        return time.perf_counter() - start
+
+    return timed
+
+
+#: Pairs added between two checks of a paired gate's CI width.
+PAIR_CHECK_EVERY = 2
+
+#: A speedup gate's CI must be narrower than this fraction of its bound.
+SPEEDUP_CI_FRACTION = 0.1
+
+#: (minimum, maximum) interleaved pairs of the paired speedup gates.
+SPEEDUP_PAIRS = {"smoke": (5, 15), "quick": (7, 21), "full": (9, 27)}
+
+
+class PairedRatio(NamedTuple):
+    """A :func:`paired_ratio` measurement: the median ``baseline /
+    candidate`` time ratio with its 95% bootstrap CI, the ratios, and the
+    two sides' median seconds."""
+
+    ratio: float
+    ci_lower: float
+    ci_upper: float
+    ratios: np.ndarray
+    baseline_seconds: float
+    seconds: float
+
+    def record(self, margin: float) -> dict:
+        """The ``bench_record`` fields describing the measurement."""
+        return dict(
+            pairs=int(self.ratios.size),
+            ci_lower=round(self.ci_lower, 4),
+            ci_upper=round(self.ci_upper, 4),
+            ci_within_margin=bool(self.ci_upper - self.ci_lower < margin),
+        )
+
+
+def paired_ratio(
+    baseline, candidate, *, min_pairs, max_pairs, margin, check_every=PAIR_CHECK_EVERY
+):
+    """Time two workloads in interleaved pairs; gate on the median ratio.
+
+    ``baseline`` and ``candidate`` each run their workload once and return
+    its seconds.  Which side runs first alternates pair by pair (cancelling
+    drift and order effects), and pairs are added — ``check_every`` at a
+    time once ``min_pairs`` are in — until the bootstrap 95% CI of the
+    median paired ratio ``baseline / candidate`` is narrower than
+    ``margin``, or ``max_pairs`` is reached.
+    """
+    baseline_times, candidate_times = [], []
+    while True:
+        if len(baseline_times) % 2:
+            candidate_times.append(candidate())
+            baseline_times.append(baseline())
+        else:
+            baseline_times.append(baseline())
+            candidate_times.append(candidate())
+        pairs = len(baseline_times)
+        if pairs < max_pairs and (
+            pairs < min_pairs or (pairs - min_pairs) % check_every
+        ):
+            continue
+        ratios = np.array(baseline_times) / np.array(candidate_times)
+        ci = bootstrap_median_interval(ratios, seed=0)
+        if ci.upper - ci.lower < margin or pairs >= max_pairs:
+            return PairedRatio(
+                ci.value, ci.lower, ci.upper, ratios,
+                float(np.median(baseline_times)), float(np.median(candidate_times)),
+            )
 
 
 def test_seed_baseline_throughput(benchmark, bench_preset, bench_graph):
@@ -521,8 +589,6 @@ def test_batched_dynamic_async_speedup_over_serial(bench_preset, bench_record):
     run_trials(graph, 0, "pp-a", trials=8, seed=0, batch=False, **kwargs)
     run_trials(graph, 0, "pp-a", trials=8, seed=0, batch=8, **kwargs)
 
-    # Best of two runs per path: loaded CI runners put multi-hundred-ms
-    # noise spikes on single measurements (see the PR-4 gates).
     serial_sample = run_trials(
         graph, 0, "pp-a", trials=trials, seed=5, batch=False, **kwargs
     )
@@ -530,40 +596,38 @@ def test_batched_dynamic_async_speedup_over_serial(bench_preset, bench_record):
         graph, 0, "pp-a", trials=trials, seed=5, batch=trials, **kwargs
     )
     assert serial_sample.times == batched_sample.times  # exact equivalence
-    serial = max(
-        _throughput(
-            lambda: run_trials(
-                graph, 0, "pp-a", trials=trials, seed=5, batch=False, **kwargs
-            ),
-            trials,
-        )
-        for _ in range(2)
+    gate = 4.0
+    margin = SPEEDUP_CI_FRACTION * gate
+    min_pairs, max_pairs = SPEEDUP_PAIRS[bench_preset]
+    measured = paired_ratio(
+        _seconds(lambda: run_trials(
+            graph, 0, "pp-a", trials=trials, seed=5, batch=False, **kwargs
+        )),
+        _seconds(lambda: run_trials(
+            graph, 0, "pp-a", trials=trials, seed=5, batch=trials, **kwargs
+        )),
+        min_pairs=min_pairs, max_pairs=max_pairs, margin=margin,
     )
-    batched = max(
-        _throughput(
-            lambda: run_trials(
-                graph, 0, "pp-a", trials=trials, seed=5, batch=trials, **kwargs
-            ),
-            trials,
-        )
-        for _ in range(2)
-    )
-    speedup = batched / serial
+    speedup = measured.ratio
     print(
-        f"\nserial dynamic async {serial:.0f} trials/s, batched {batched:.0f} "
-        f"trials/s, speedup {speedup:.2f}x"
+        f"\nserial dynamic async {measured.baseline_seconds:.2f}s, batched "
+        f"{measured.seconds:.2f}s for {trials} trials: median paired speedup "
+        f"{speedup:.2f}x over {measured.ratios.size} pairs, 95% CI "
+        f"[{measured.ci_lower:.2f}, {measured.ci_upper:.2f}]"
     )
     bench_record(
         "batched_dynamic_async_vs_serial",
-        seconds=trials / batched,
+        seconds=measured.seconds,
         speedup=speedup,
-        gate=4.0,
-        baseline_seconds=trials / serial,
+        gate=gate,
+        baseline_seconds=measured.baseline_seconds,
         trials=trials,
+        **measured.record(margin),
     )
-    assert speedup >= 4.0, (
+    assert speedup >= gate, (
         f"batched dynamic-graph async path is only {speedup:.2f}x the serial "
-        f"engine ({serial:.0f} vs {batched:.0f} trials/s)"
+        f"engine (median paired ratio, 95% CI [{measured.ci_lower:.2f}, "
+        f"{measured.ci_upper:.2f}])"
     )
 
 
@@ -574,29 +638,36 @@ def test_batched_speedup_over_seed_baseline(bench_preset, bench_graph, bench_rec
     _seed_baseline_run_trials(bench_graph, 0, 8, 0)
     run_trials(bench_graph, 0, "pp", trials=8, seed=0, batch="auto")
 
-    baseline = _throughput(
-        lambda: _seed_baseline_run_trials(bench_graph, 0, trials, 5), trials
+    gate = 5.0
+    margin = SPEEDUP_CI_FRACTION * gate
+    min_pairs, max_pairs = SPEEDUP_PAIRS[bench_preset]
+    measured = paired_ratio(
+        _seconds(lambda: _seed_baseline_run_trials(bench_graph, 0, trials, 5)),
+        _seconds(lambda: run_trials(
+            bench_graph, 0, "pp", trials=trials, seed=5, batch="auto"
+        )),
+        min_pairs=min_pairs, max_pairs=max_pairs, margin=margin,
     )
-    batched = _throughput(
-        lambda: run_trials(bench_graph, 0, "pp", trials=trials, seed=5, batch="auto"),
-        trials,
-    )
-    speedup = batched / baseline
+    speedup = measured.ratio
     print(
-        f"\nseed baseline {baseline:.0f} trials/s, batched {batched:.0f} trials/s, "
-        f"speedup {speedup:.2f}x"
+        f"\nseed baseline {measured.baseline_seconds:.3f}s, batched "
+        f"{measured.seconds:.3f}s for {trials} trials: median paired speedup "
+        f"{speedup:.2f}x over {measured.ratios.size} pairs, 95% CI "
+        f"[{measured.ci_lower:.2f}, {measured.ci_upper:.2f}]"
     )
     bench_record(
         "batched_vs_seed_baseline",
-        seconds=trials / batched,
+        seconds=measured.seconds,
         speedup=speedup,
-        gate=5.0,
-        baseline_seconds=trials / baseline,
+        gate=gate,
+        baseline_seconds=measured.baseline_seconds,
         trials=trials,
+        **measured.record(margin),
     )
-    assert speedup >= 5.0, (
+    assert speedup >= gate, (
         f"batched path is only {speedup:.2f}x the seed serial baseline "
-        f"({baseline:.0f} vs {batched:.0f} trials/s)"
+        f"(median paired ratio, 95% CI [{measured.ci_lower:.2f}, "
+        f"{measured.ci_upper:.2f}])"
     )
 
 
@@ -738,101 +809,44 @@ def test_shared_sweep_speedup_over_per_call_executor(bench_preset, bench_record)
         graphs[0], 0, "pp", trials=8, seed=1, num_workers=SWEEP_WORKERS
     )
 
-    # One-CPU CI runners make multi-process timings noisy; the min of two
-    # runs per path is the standard stabiliser.
     baseline_samples = run_baseline_sweep()
     shared_samples = run_shared_sweep()
-
-    def best_of_two(sweep):
-        seconds = []
-        for _ in range(2):
-            start = time.perf_counter()
-            sweep()
-            seconds.append(time.perf_counter() - start)
-        return min(seconds)
-
-    baseline_seconds = best_of_two(run_baseline_sweep)
-    shared_seconds = best_of_two(run_shared_sweep)
-    shutdown_pool()
-
     # Same chunk plan, same seeds -> the transports must agree bit for bit.
     for baseline_sample, shared_sample in zip(baseline_samples, shared_samples):
         assert baseline_sample.times == shared_sample.times
 
-    speedup = baseline_seconds / shared_seconds
+    # Multi-process timings are noisy on small CI runners: gate on
+    # interleaved pairs.
+    gate = 3.0
+    margin = SPEEDUP_CI_FRACTION * gate
+    min_pairs, max_pairs = SPEEDUP_PAIRS[bench_preset]
+    measured = paired_ratio(
+        _seconds(run_baseline_sweep), _seconds(run_shared_sweep),
+        min_pairs=min_pairs, max_pairs=max_pairs, margin=margin,
+    )
+    shutdown_pool()
+    speedup = measured.ratio
     print(
-        f"\nper-call executors {baseline_seconds:.2f}s, shared-memory sweep "
-        f"{shared_seconds:.2f}s over {SWEEP_POINTS} points, speedup {speedup:.2f}x"
+        f"\nper-call executors {measured.baseline_seconds:.2f}s, shared-memory "
+        f"sweep {measured.seconds:.2f}s over {SWEEP_POINTS} points: median paired "
+        f"speedup {speedup:.2f}x over {measured.ratios.size} pairs, 95% CI "
+        f"[{measured.ci_lower:.2f}, {measured.ci_upper:.2f}]"
     )
     bench_record(
         "shared_memory_sweep",
-        seconds=shared_seconds,
+        seconds=measured.seconds,
         speedup=speedup,
-        gate=3.0,
-        baseline_seconds=baseline_seconds,
+        gate=gate,
+        baseline_seconds=measured.baseline_seconds,
         points=SWEEP_POINTS,
         trials_per_point=trials,
         workers=SWEEP_WORKERS,
+        **measured.record(margin),
     )
-    assert speedup >= 3.0, (
+    assert speedup >= gate, (
         f"shared-memory sweep is only {speedup:.2f}x the per-call-executor "
-        f"baseline ({baseline_seconds:.2f}s vs {shared_seconds:.2f}s)"
-    )
-
-
-# --------------------------------------------------------------------- #
-# PR-4 gate 2: chunked pooled clock-view kernel vs the unchunked pooled
-# path (pooled_chunk=0 — the legacy per-tick-draw next-tick-table loop).
-# --------------------------------------------------------------------- #
-@pytest.mark.parametrize("view", ["node_clocks", "edge_clocks"])
-def test_chunked_pooled_clock_view_speedup(bench_preset, bench_record, view):
-    """The PR-4 clock gate: chunked pooled clock views >= 4x unchunked pooled."""
-    size, degree = CLOCK_VIEW_WORKLOADS[view]
-    trials = CLOCK_VIEW_TRIALS[view][bench_preset]
-    graph = random_regular_graph(size, degree, seed=1)
-
-    # Warm both paths (flat adjacency cache, allocator).
-    for chunk in (0, None):
-        run_clock_view_batch(
-            graph, 0, view=view, trials=8,
-            pooled_rng=np.random.default_rng(0), pooled_chunk=chunk,
-            record_times=False,
-        )
-
-    def timed(chunk):
-        # Min of two runs: the loaded single-core CI runners put multi-second
-        # noise spikes on single measurements.
-        seconds = []
-        for _ in range(2):
-            rng = np.random.default_rng(5)
-            start = time.perf_counter()
-            run_clock_view_batch(
-                graph, 0, view=view, trials=trials, pooled_rng=rng,
-                pooled_chunk=chunk, record_times=False,
-            )
-            seconds.append(time.perf_counter() - start)
-        return min(seconds)
-
-    unchunked_seconds = timed(0)
-    chunked_seconds = timed(None)
-    speedup = unchunked_seconds / chunked_seconds
-    print(
-        f"\nunchunked pooled {view} {unchunked_seconds:.2f}s, chunked "
-        f"{chunked_seconds:.2f}s for {trials} trials on n={size}, "
-        f"speedup {speedup:.2f}x"
-    )
-    bench_record(
-        f"chunked_pooled_{view}",
-        seconds=chunked_seconds,
-        speedup=speedup,
-        gate=4.0,
-        baseline_seconds=unchunked_seconds,
-        trials=trials,
-        graph_size=size,
-    )
-    assert speedup >= 4.0, (
-        f"chunked pooled {view} kernel is only {speedup:.2f}x the unchunked "
-        f"pooled path ({unchunked_seconds:.2f}s vs {chunked_seconds:.2f}s)"
+        f"baseline (median paired ratio, 95% CI [{measured.ci_lower:.2f}, "
+        f"{measured.ci_upper:.2f}])"
     )
 
 
@@ -863,7 +877,6 @@ def test_telemetry_off_overhead(bench_preset, bench_graph, bench_record, monkeyp
     accessor-stubbed baseline (its CI, narrowed below that margin by
     adding pairs, is recorded)."""
     from repro.analysis import montecarlo as montecarlo_module
-    from repro.analysis.statistics import bootstrap_median_interval
     from repro.core import batch_engine as batch_engine_module
     from repro.core import protocols as protocols_module
     from repro.core.kernels import jit_backend as jit_module
@@ -900,44 +913,28 @@ def test_telemetry_off_overhead(bench_preset, bench_graph, bench_record, monkeyp
 
     workload()  # warm both engines (flat adjacency cache, allocator)
     stubbed_workload()
-    shipped_times, stubbed_times = [], []
-    while True:
-        if len(shipped_times) % 2:
-            stubbed_times.append(stubbed_workload())
-            shipped_times.append(workload())
-        else:
-            shipped_times.append(workload())
-            stubbed_times.append(stubbed_workload())
-        pairs = len(shipped_times)
-        if pairs < max_pairs and (
-            pairs < min_pairs or pairs % TELEMETRY_CHECK_EVERY
-        ):
-            continue
-        ratios = np.array(stubbed_times) / np.array(shipped_times)
-        ci = bootstrap_median_interval(ratios, seed=0)
-        if ci.upper - ci.lower < margin or pairs >= max_pairs:
-            break
-    ratio = ci.value  # >= 1 means the shipped accessor is free
+    measured = paired_ratio(
+        stubbed_workload, workload, min_pairs=min_pairs, max_pairs=max_pairs,
+        margin=margin, check_every=TELEMETRY_CHECK_EVERY,
+    )
+    ratio = measured.ratio  # >= 1 means the shipped accessor is free
     print(
-        f"\ntelemetry-off vs stubbed baseline over {ratios.size} interleaved pairs "
-        f"of {trials} sync + {max(trials // 4, 8)} async trials: median paired "
-        f"ratio {ratio:.3f}, 95% CI [{ci.lower:.3f}, {ci.upper:.3f}]"
+        f"\ntelemetry-off vs stubbed baseline over {measured.ratios.size} interleaved "
+        f"pairs of {trials} sync + {max(trials // 4, 8)} async trials: median paired "
+        f"ratio {ratio:.3f}, 95% CI [{measured.ci_lower:.3f}, {measured.ci_upper:.3f}]"
     )
     bench_record(
         "telemetry_off_overhead",
-        seconds=float(np.median(shipped_times)),
+        seconds=measured.seconds,
         speedup=ratio,
         gate=TELEMETRY_GATE,
-        baseline_seconds=float(np.median(stubbed_times)),
+        baseline_seconds=measured.baseline_seconds,
         trials=trials,
-        pairs=int(ratios.size),
-        ci_lower=round(ci.lower, 4),
-        ci_upper=round(ci.upper, 4),
-        ci_within_margin=bool(ci.upper - ci.lower < margin),
+        **measured.record(margin),
     )
     assert ratio >= TELEMETRY_GATE, (
         f"disabled telemetry costs {(1 - ratio) * 100:.1f}% on the batched hot "
-        f"path (median paired ratio, 95% CI [{ci.lower:.3f}, {ci.upper:.3f}])"
+        f"path (median paired ratio, 95% CI [{measured.ci_lower:.3f}, {measured.ci_upper:.3f}])"
     )
 
 

@@ -87,8 +87,9 @@ def bench_record(request):
     Usage: ``bench_record("shared_memory_sweep", seconds=..., baseline_seconds=...,
     speedup=..., gate=3.0, **extra)``.  ``speedup`` is measured against the
     benchmark's *pinned* baseline (frozen seed loop, fresh-executor sweep,
-    unchunked pooled kernel, ...), so the trajectory stays comparable
-    across PRs.  ``seconds``/``speedup`` may be ``None`` for a gate that
+    serial engine, ...), so the trajectory stays comparable across PRs;
+    paired gates add their pair count and the bootstrap CI of the median
+    paired ratio (``pairs``, ``ci_lower``, ``ci_upper``, ``ci_within_margin``).  ``seconds``/``speedup`` may be ``None`` for a gate that
     records itself as skipped (e.g. the jit gate on a numba-free machine) —
     a skip that leaves a trace in BENCH_batch.json instead of vanishing.
     """

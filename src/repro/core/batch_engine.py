@@ -65,13 +65,13 @@ would change the per-pair clock set itself) — see :func:`is_batchable`.
 generators with one shared generator drawing whole ``(B, n)`` matrices at
 once.  This halves the Python-level draw overhead for small ``n`` but gives
 up serial equivalence: pooled samples agree with per-trial samples only *in
-distribution* (checked by a KS test in the suite).  For the clock-queue
-views the pooled mode goes further: freed from the serial draw order, the
-kernel pre-draws the randomness of thousands of future ticks as
-``(B, chunk)`` blocks and drops the next-tick table entirely (both views
-are the same superposed Poisson process in distribution — see
-:func:`_run_clock_view_pooled`), which removes the dominant per-tick
-argmin/draw overhead.
+distribution* (checked by a KS test in the suite).  For the asynchronous
+model the pooled mode goes further: freed from the serial draw order, all
+three views run as the one superposed Poisson process they are in law
+(:func:`_run_clock_view_pooled`), which pre-draws the randomness of
+thousands of future ticks as ``(B, chunk)`` blocks — no next-tick table, no
+per-tick draws — so a pooled run gives the same results under every view
+and on both backends.
 
 **Kernel backends.**  The hot loops themselves — the synchronous round
 step, the flattened asynchronous tick loop, and the pooled clock-view
@@ -155,8 +155,8 @@ _AUX_OPTIONS = frozenset({"max_rounds", "on_budget_exhausted", "backend"})
 #: size to reproduce the serial draw order.
 _ASYNC_CHUNK = 4096
 
-#: Default number of future ticks whose randomness the pooled clock-view
-#: fast path draws ahead of time as one ``(B, chunk)`` block per kind.
+#: Number of future ticks whose randomness the pooled asynchronous path
+#: draws ahead of time as one ``(B, chunk)`` block per kind.
 _POOLED_CLOCK_CHUNK = 4096
 
 
@@ -565,23 +565,14 @@ class _ScenarioParts:
             metrics.count("scenario.adversary_budget_spent", self.budget_spent())
 
     def delay_rates(
-        self,
-        graph: Graph,
-        batch: int,
-        pooled_rng: Optional[np.random.Generator],
-        generators: Optional[Sequence[np.random.Generator]],
+        self, graph: Graph, rngs: Sequence[np.random.Generator]
     ) -> Optional[np.ndarray]:
         """Each trial's ``Delay`` vertex rates, ``(B, n)`` (``None`` without
-        a Delay) — the first randomness a trial consumes, as in the serial
-        engine."""
+        a Delay), trial ``b`` drawing from ``rngs[b]`` — the first
+        randomness a trial consumes, as in the serial engine."""
         if self.delay is None:
             return None
-        return np.stack([
-            self.delay.draw_rates(
-                graph, pooled_rng if pooled_rng is not None else generators[b]
-            )
-            for b in range(batch)
-        ])
+        return np.stack([self.delay.draw_rates(graph, rng) for rng in rngs])
 
     def initial_up(self, graph: Graph, batch: int) -> Optional[np.ndarray]:
         """The ``(B, n)`` up/down matrix at trial start, or ``None``."""
@@ -1023,11 +1014,17 @@ def run_asynchronous_batch(
     stacked CSR whose rows are resampled at each trial's own period
     boundaries).
 
+    This is also the one entry of every pooled asynchronous run, whatever
+    its view (:func:`run_clock_view_batch` delegates here): on a fixed
+    graph ``pooled_rng`` selects :func:`_run_clock_view_pooled`, the
+    chunked superposed-process path; under a dynamic graph, whose callee
+    blocks that path cannot pre-resolve, the tick loop above runs on
+    per-trial streams spawned once from ``pooled_rng``.
+
     Args: as :func:`run_synchronous_batch`, with the asynchronous budgets
         ``max_steps`` (clock ticks) and ``max_time`` (simulated time).
-        ``backend`` selects the tick-loop kernel (:mod:`repro.core.kernels`);
-        the per-trial modes are bit-identical across backends, the pooled
-        mode agrees in distribution only under ``"jit"``.
+        ``backend`` selects the kernel (:mod:`repro.core.kernels`); every
+        mode, pooled included, is bit-identical across backends.
 
     Returns:
         A :class:`~repro.core.result.BatchTimes` with continuous times.
@@ -1052,6 +1049,13 @@ def run_asynchronous_batch(
         return _trivial_batch(protocol_name, graph, source_array, record_times, False)
 
     kern = resolve_backend(backend)
+    if pooled_rng is not None:
+        if dynamic is None:
+            return _run_clock_view_pooled(
+                graph, source_array, mode, pooled_rng, step_budget, time_budget,
+                record_times, on_budget_exhausted, protocol_name, parts, kern,
+            )
+        generators = spawn_generators(batch, pooled_rng)
     metrics = current_metrics()
     if metrics is not None:
         metrics.gauge("engine.backend", kern.BACKEND_NAME)
@@ -1068,7 +1072,7 @@ def run_asynchronous_batch(
     # Delay scenario: per-trial vertex rates drawn at trial start (the first
     # randomness each trial consumes, matching the serial engine), with the
     # cumulative-rate tables used to resolve weighted caller draws.
-    rates = parts.delay_rates(graph, batch, pooled_rng, generators)
+    rates = parts.delay_rates(graph, generators)
     rates_cum = rates_total = scales = None
     if rates is not None:
         rates_cum = np.cumsum(rates, axis=1)
@@ -1137,7 +1141,7 @@ def run_asynchronous_batch(
         n=n, batch=batch, mode=mode, chunk=_ASYNC_CHUNK,
         step_budget=step_budget, time_budget=time_budget,
         finite_time_budget=finite_time_budget,
-        generators=generators, pooled_rng=pooled_rng,
+        generators=generators,
         scale=scale, scales=scales, rates_cum=rates_cum, rates_total=rates_total,
         degrees=degrees_nw, max_offset=max_offset_nw,
         start=start_nw, indices=indices_nw, trial_graphs=trial_graphs,
@@ -1388,28 +1392,30 @@ def _run_clock_view_pooled(
     time_budget: float,
     record_times: bool,
     on_budget_exhausted: str,
-    chunk: int,
     protocol_name: str,
-    parts: Optional["_ScenarioParts"] = None,
-    kern: Optional[ModuleType] = None,
+    parts: _ScenarioParts,
+    kern: ModuleType,
 ) -> BatchTimes:
-    """The chunked pooled-RNG fast path shared by both clock-queue views.
+    """The chunked pooled-RNG path of every asynchronous view on a fixed graph.
 
-    The per-trial kernel must keep the ``(B, #clocks)`` next-tick table and
-    pay two scalar RNG draws per trial per tick, because serial draw-order
-    equivalence pins exactly that sequence.  Pooled mode only promises
-    agreement *in distribution*, and in distribution both views are the
-    same superposed Poisson process: every vertex ticks at rate 1 under
-    ``node_clocks``, and under ``edge_clocks`` each caller's pair clocks
-    (rate ``1/deg(v)`` each) also sum to rate 1 per vertex — so successive
-    events arrive with ``Exp(1/n)`` gaps, a uniformly random caller, and a
-    uniformly random neighbor as callee (the view equivalence of
-    :mod:`repro.experiments.view_equivalence`).  That lets this path
-    pre-draw the whole randomness of the next ``chunk`` ticks as three
-    ``(B, chunk)`` blocks — gaps, callers, neighbor uniforms — resolve the
-    callee matrix in one vectorised gather, and let the backend's consumer
-    move each trial to its next informative tick, with no RNG calls and no
-    argmin over the next-tick table at all.
+    The per-trial kernels must keep the serial draw order: the global
+    view's per-trial buffers, the clock views' ``(B, #clocks)`` next-tick
+    table with two scalar RNG draws per trial per tick.  Pooled mode only
+    promises agreement *in distribution*, and in distribution the three
+    views are the same superposed Poisson process: the rate-``n`` global
+    clock picks a uniformly random caller, every vertex ticks at rate 1
+    under ``node_clocks``, and under ``edge_clocks`` each caller's pair
+    clocks (rate ``1/deg(v)`` each) also sum to rate 1 per vertex — so
+    successive events arrive with ``Exp(1/n)`` gaps, a uniformly random
+    caller, and a uniformly random neighbor as callee (the view
+    equivalence of :mod:`repro.experiments.view_equivalence`).  That lets
+    this path pre-draw the whole randomness of the next
+    ``_POOLED_CLOCK_CHUNK`` ticks as three ``(B, chunk)`` blocks — gaps,
+    callers, neighbor uniforms — resolve the callee matrix in one
+    vectorised gather, and let the backend's consumer move each trial to
+    its next informative tick, with no RNG calls and no next-tick table at
+    all.  The view is never read, so a pooled run gives the same results
+    under every view.
 
     Runtime scenarios keep the same shape: a :class:`~repro.scenarios.Delay`
     reweights the superposition (per-trial total rate, weighted caller
@@ -1421,11 +1427,12 @@ def _run_clock_view_pooled(
     loss, Delay, adaptive crash, targeted churn) depends on the blocks
     alone, so how the consumer walks them never changes a result.  Dynamic
     graphs never reach this path (the callee blocks are resolved against
-    one fixed CSR); the dispatcher routes them through the unchunked
-    pooled table loop instead.
+    one fixed CSR); :func:`run_asynchronous_batch` runs them through its
+    tick loop instead.
     """
     n = graph.num_vertices
     batch = source_array.size
+    chunk = _POOLED_CLOCK_CHUNK
     flat = flat_adjacency(graph)
     degrees = flat.degrees
     start = flat.indptr[:-1]
@@ -1434,10 +1441,6 @@ def _run_clock_view_pooled(
     push_allowed = mode in ("push", "push-pull")
     finite_time_budget = np.isfinite(time_budget)
 
-    if parts is None:
-        parts = _ScenarioParts(None)
-    if kern is None:
-        kern = resolve_backend(None)
     metrics = current_metrics()
     if metrics is not None:
         metrics.gauge("engine.backend", kern.BACKEND_NAME)
@@ -1446,7 +1449,7 @@ def _run_clock_view_pooled(
     # its edge-view pair clocks, rate r_v/deg(v) each, superpose to the
     # same r_v — so the pooled process has per-trial total rate sum(r_v)
     # and rate-weighted callers.
-    rates = parts.delay_rates(graph, batch, pooled_rng, None)
+    rates = parts.delay_rates(graph, [pooled_rng] * batch)
     rates_cum = rates_total = None
     # Each trial's mean gap (1/n: the superposed rate-n tick process).
     trial_scales = np.full(batch, 1.0 / n)
@@ -1549,7 +1552,6 @@ def run_clock_view_batch(
     on_budget_exhausted: str = "error",
     scenario: ScenarioLike = None,
     pooled_rng: Optional[np.random.Generator] = None,
-    pooled_chunk: Optional[int] = None,
     backend: Optional[str] = None,
 ) -> BatchTimes:
     """Simulate a batch of asynchronous trials under a clock-queue view.
@@ -1581,27 +1583,16 @@ def run_clock_view_batch(
     (:class:`_TrialGraphs`); the clocks themselves are graph independent
     and are never redrawn.
 
-    **Pooled fast path.**  With ``pooled_rng`` the serial draw order no
-    longer constrains the kernel, and the per-tick scalar draws are chunked
-    into ``(B, chunk)`` blocks drawn ahead of time (see
-    :func:`_run_clock_view_pooled` — both views are, in distribution, the
-    same superposed Poisson process, so the next-tick table and its per-row
-    ``argmin`` disappear entirely).  ``pooled_chunk`` sets the block width
-    (default 4096 ticks); ``pooled_chunk=0`` keeps the legacy unchunked
-    pooled loop over the next-tick table, which draws per tick — it exists
-    as the benchmark baseline for the fast path.  A dynamic-graph scenario
-    also runs through the unchunked pooled loop (its pre-resolved callee
-    blocks assume a fixed graph).  Pooled samples agree with the per-trial
-    modes in distribution only (KS-tested in the suite); beyond the blocks,
-    only churn and burst-loss epochs draw, from per-trial streams spawned
-    from ``pooled_rng`` (see :func:`_run_clock_view_pooled`).
+    **Pooled mode.**  With ``pooled_rng`` the serial draw order no longer
+    constrains the kernel and the view no longer matters: the call is
+    handed to :func:`run_asynchronous_batch`, which runs every pooled view
+    as the one superposed Poisson process (see
+    :func:`_run_clock_view_pooled`).  Pooled samples agree with the
+    per-trial modes in distribution only (KS-tested in the suite).
 
-    Args: as :func:`run_asynchronous_batch`, plus ``view`` and
-        ``pooled_chunk``.  ``backend`` applies to the chunked pooled fast
-        path only (its consumer is a :mod:`repro.core.kernels` kernel, and
-        both backends produce identical results there); the per-trial and
-        unchunked pooled table loops are pinned to the serial draw order
-        and always run the numpy path.
+    Args: as :func:`run_asynchronous_batch`, plus ``view``.  ``backend``
+        applies to the pooled path only; the next-tick table loop is
+        pinned to the serial draw order and always runs the numpy path.
 
     Returns:
         A :class:`~repro.core.result.BatchTimes` with continuous times.
@@ -1617,9 +1608,16 @@ def run_clock_view_batch(
             "view: resampling the graph would change the per-pair clock set "
             "itself; use the 'node_clocks' or 'global' view"
         )
+    if pooled_rng is not None:
+        return run_asynchronous_batch(
+            graph, sources, mode=mode, rngs=rngs, trials=trials, seed=seed,
+            max_steps=max_steps, max_time=max_time, record_times=record_times,
+            on_budget_exhausted=on_budget_exhausted, scenario=scenario,
+            pooled_rng=pooled_rng, backend=backend,
+        )
     parts = _ScenarioParts(scenario)
     source_array, generators = _prepare(
-        graph, sources, mode, ASYNC_MODES, rngs, trials, seed, on_budget_exhausted, pooled_rng
+        graph, sources, mode, ASYNC_MODES, rngs, trials, seed, on_budget_exhausted
     )
     protocol_name = _ASYNC_MODE_NAMES[mode]
     n = graph.num_vertices
@@ -1630,46 +1628,21 @@ def run_clock_view_batch(
     time_budget = np.inf if max_time is None else float(max_time)
     if time_budget < 0:
         raise ProtocolError(f"max_time must be non-negative, got {max_time}")
-    if pooled_chunk is not None and pooled_chunk < 0:
-        raise ProtocolError(f"pooled_chunk must be non-negative, got {pooled_chunk}")
-    if pooled_chunk and pooled_rng is None:
-        # The chunked block draws exist only where the serial draw order
-        # does not constrain the kernel; silently running the per-trial
-        # path instead would time/benchmark the wrong kernel.
-        raise ProtocolError(
-            "pooled_chunk requires pooled_rng (the per-trial path is pinned "
-            "to the serial draw order and cannot chunk its draws)"
-        )
     if n == 1:
         return _trivial_batch(protocol_name, graph, source_array, record_times, False)
-    if pooled_rng is not None and pooled_chunk != 0 and parts.dynamic is None:
-        return _run_clock_view_pooled(
-            graph,
-            source_array,
-            mode,
-            pooled_rng,
-            step_budget,
-            time_budget,
-            record_times,
-            on_budget_exhausted,
-            _POOLED_CLOCK_CHUNK if pooled_chunk is None else int(pooled_chunk),
-            protocol_name,
-            parts,
-            kern=resolve_backend(backend),
-        )
 
     flat = flat_adjacency(graph)
     degrees = flat.degrees
     node_view = view == "node_clocks"
-    # The next-tick table loops are pinned to the serial draw order and
-    # always run on the numpy path (see the docstring).
+    # The next-tick table loop is pinned to the serial draw order and
+    # always runs on the numpy path (see the docstring).
     metrics = current_metrics()
     if metrics is not None:
         metrics.gauge("engine.backend", "numpy")
 
     # Delay rates are the first randomness each trial consumes (before the
     # initial next-tick block), matching the serial engine.
-    rates = parts.delay_rates(graph, batch, pooled_rng, generators)
+    rates = parts.delay_rates(graph, generators)
     # (B, n): mean gap of each vertex clock
     node_scales = 1.0 / rates if rates is not None else None
 
@@ -1678,17 +1651,11 @@ def run_clock_view_batch(
         # One rate-r_v clock per vertex (r_v = 1 without a Delay): the
         # first ticks are the serial engine's initial exponential block.
         next_tick = np.empty((batch, n))
-        if pooled_rng is not None:
+        for b in range(batch):
             if node_scales is None:
-                next_tick[:] = pooled_rng.exponential(1.0, (batch, n))
+                next_tick[b] = generators[b].exponential(1.0, n)
             else:
-                next_tick[:] = pooled_rng.exponential(node_scales)
-        else:
-            for b in range(batch):
-                if node_scales is None:
-                    next_tick[b] = generators[b].exponential(1.0, n)
-                else:
-                    next_tick[b] = generators[b].exponential(node_scales[b])
+                next_tick[b] = generators[b].exponential(node_scales[b])
     else:
         # One clock per ordered pair (v, w) with rate r_v/deg(v).  The pair
         # order (v ascending, neighbors in adjacency order) is exactly the
@@ -1701,18 +1668,10 @@ def run_clock_view_batch(
             # (B, #pairs): each trial's own rates reweight its pair clocks.
             pair_scale = pair_scale[None, :] / rates[:, pair_caller]
         next_tick = np.empty((batch, pair_caller.size))
-        if pooled_rng is not None:
-            if rates is None:
-                next_tick[:] = pooled_rng.exponential(
-                    pair_scale, (batch, pair_caller.size)
-                )
-            else:
-                next_tick[:] = pooled_rng.exponential(pair_scale)
-        else:
-            for b in range(batch):
-                next_tick[b] = generators[b].exponential(
-                    pair_scale if rates is None else pair_scale[b]
-                )
+        for b in range(batch):
+            next_tick[b] = generators[b].exponential(
+                pair_scale if rates is None else pair_scale[b]
+            )
 
     informed, num_informed, times, completed, completion_time = _start_state(
         source_array, n, record_times
@@ -1783,9 +1742,8 @@ def run_clock_view_batch(
             crossing = tick_time >= bound
             if crossing.any():
                 for b, t in zip(rows[crossing], tick_time[crossing]):
-                    rng = pooled_rng if pooled_rng is not None else generators[b]
                     parts.cross_boundaries(
-                        b, t, rng, n, up, bad, next_epoch, next_resample,
+                        b, t, generators[b], n, up, bad, next_epoch, next_resample,
                         trial_graphs, informed,
                     )
                 if parts.absorbing:
@@ -1797,27 +1755,17 @@ def run_clock_view_batch(
             caller = idx
             u = np.empty(rows.size)
             resched = np.empty(rows.size)
-            if pooled_rng is not None:
-                u[:] = pooled_rng.random(rows.size)
+            for j, b in enumerate(rows):
+                rng = generators[b]
+                # Neighbor uniform, loss uniform (when lossy), then the
+                # reschedule exponential — the serial per-tick order.
+                u[j] = rng.random()
                 if loss_u is not None:
                     # repro: allow[RNG002] -- loss_u is reallocated every tick but its None-ness is pinned by the loop-invariant parts.lossy; the gate fires identically each iteration
-                    loss_u[:] = pooled_rng.random(rows.size)
-                if node_scales is None:
-                    resched[:] = pooled_rng.exponential(1.0, rows.size)
-                else:
-                    resched[:] = pooled_rng.exponential(node_scales[rows, caller])
-            else:
-                for j, b in enumerate(rows):
-                    rng = generators[b]
-                    # Neighbor uniform, loss uniform (when lossy), then the
-                    # reschedule exponential — the serial per-tick order.
-                    u[j] = rng.random()
-                    if loss_u is not None:
-                        # repro: allow[RNG002] -- loss_u is reallocated every tick but its None-ness is pinned by the loop-invariant parts.lossy; the gate fires identically each iteration
-                        loss_u[j] = rng.random()
-                    resched[j] = rng.exponential(
-                        1.0 if node_scales is None else node_scales[b, caller[j]]
-                    )
+                    loss_u[j] = rng.random()
+                resched[j] = rng.exponential(
+                    1.0 if node_scales is None else node_scales[b, caller[j]]
+                )
             if trial_graphs is not None:
                 callee = trial_graphs.callees(rows, caller, u)
             else:
@@ -1830,25 +1778,17 @@ def run_clock_view_batch(
             caller = pair_caller[idx]
             callee = pair_callee[idx]
             resched = np.empty(rows.size)
-            if pooled_rng is not None:
+            for j, b in enumerate(rows):
+                rng = generators[b]
+                # Loss uniform (when lossy) then the reschedule — the
+                # serial per-tick order (no neighbor draw: the pair
+                # determines the callee).
                 if loss_u is not None:
                     # repro: allow[RNG002] -- loss_u is reallocated every tick but its None-ness is pinned by the loop-invariant parts.lossy; the gate fires identically each iteration
-                    loss_u[:] = pooled_rng.random(rows.size)
-                resched[:] = pooled_rng.exponential(
-                    pair_scale[idx] if rates is None else pair_scale[rows, idx]
+                    loss_u[j] = rng.random()
+                resched[j] = rng.exponential(
+                    pair_scale[idx[j]] if rates is None else pair_scale[b, idx[j]]
                 )
-            else:
-                for j, b in enumerate(rows):
-                    rng = generators[b]
-                    # Loss uniform (when lossy) then the reschedule — the
-                    # serial per-tick order (no neighbor draw: the pair
-                    # determines the callee).
-                    if loss_u is not None:
-                        # repro: allow[RNG002] -- loss_u is reallocated every tick but its None-ness is pinned by the loop-invariant parts.lossy; the gate fires identically each iteration
-                        loss_u[j] = rng.random()
-                    resched[j] = rng.exponential(
-                        pair_scale[idx[j]] if rates is None else pair_scale[b, idx[j]]
-                    )
             next_tick[rows, idx] = tick_time + resched
 
         row_base = rows * n

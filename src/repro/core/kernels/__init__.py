@@ -31,12 +31,10 @@ the kernels (by the engine or the shared :meth:`AsyncState.draw_chunk` /
 ``_ScenarioParts.cross_boundaries`` helpers), in the serial engines'
 documented order; the kernels are deterministic functions of those draws.
 Consequently the per-trial RNG modes are **bit-identical** across backends
-— the full ``KERNEL_CASES`` registry replays under both — and the pooled
-modes agree in distribution (the jit backend drains pooled buffers trial
-by trial, reordering consumption of the shared generator), with one
-strengthening: the *chunked* pooled clock-view consumer pre-draws every
-block before consuming it, so given the same pooled stream the two
-backends produce identical results there too.
+— the full ``KERNEL_CASES`` registry replays under both — and so is every
+pooled asynchronous run, whatever its view: the engine pre-draws each
+pooled block before the chunk consumer walks it, and a pooled dynamic-graph
+run is a per-trial run on streams spawned from the pooled generator.
 
 The backend is selected per call through the ``backend=`` engine option
 (threaded through ``run_trials`` / ``run_trials_parallel`` / the CLI
@@ -183,8 +181,8 @@ class AsyncState:
         "n", "batch", "mode", "chunk",
         # budgets
         "step_budget", "time_budget", "finite_time_budget",
-        # randomness sources
-        "generators", "pooled_rng",
+        # per-trial randomness sources
+        "generators",
         # clock rates (Delay scenario)
         "scale", "scales", "rates_cum", "rates_total",
         # static CSR (narrow) and the per-trial dynamic stacked CSR
@@ -205,12 +203,6 @@ class AsyncState:
             setattr(self, name, fields.pop(name))
         if fields:
             raise TypeError(f"unknown AsyncState fields: {sorted(fields)}")
-
-    def rng_for(self, trial: int) -> np.random.Generator:
-        """The generator that owns ``trial``'s randomness stream."""
-        if self.pooled_rng is not None:
-            return self.pooled_rng
-        return self.generators[trial]
 
     def draw_chunk(
         self,

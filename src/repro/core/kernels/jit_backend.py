@@ -9,14 +9,11 @@ are deterministic given it, so:
 * **Sync rounds** and the **per-trial async modes** are bit-identical to
   the numpy backend (and therefore to the serial engines) — the full
   ``KERNEL_CASES`` registry replays under ``backend="jit"``.
-* The **chunked pooled clock-view consumer** is also draw-order identical:
-  the engine resolves each block before the consumer runs, so both
-  backends read the same pooled stream.  Blocks with churn/burst epochs
-  delegate to the numpy consumer (epoch crossings draw from the pooled
-  generator mid-column, which a nopython loop cannot).
-* The **pooled async global view** agrees in distribution only: this
-  backend drains the shared generator trial by trial, reordering its
-  consumption relative to the numpy loop's refill order.
+* The **pooled chunk consumer**, which every pooled asynchronous view on a
+  fixed graph runs, is also bit-identical: the engine resolves each block
+  before the consumer runs, so both backends read the same pooled stream.
+  Blocks with epochs delegate to the numpy consumer (crossings run Python
+  scenario code, and churn/burst ones draw from per-trial streams).
 
 The asynchronous drain returns control to Python with a per-trial status
 code whenever a trial needs something a nopython region cannot do — a
@@ -440,7 +437,7 @@ def async_tick_loop(state: "AsyncState") -> None:
             elif st == _BOUNDARY:
                 t = float(state.now[b] + state.gaps[b, state.positions[b]])
                 parts.cross_boundaries(
-                    b, t, state.rng_for(b), n, state.up, state.bad,
+                    b, t, state.generators[b], n, state.up, state.bad,
                     state.next_epoch, state.next_resample, tg,
                     state.informed,
                 )
@@ -464,7 +461,7 @@ def async_tick_loop(state: "AsyncState") -> None:
                     state.steps[b] = state.chunk_base[b]
                     continue
                 chunk = min(state.chunk, remaining)
-                state.draw_chunk(state.rng_for(b), b, chunk, b)
+                state.draw_chunk(state.generators[b], b, chunk, b)
                 state.buffer_lengths[b] = chunk
 
 

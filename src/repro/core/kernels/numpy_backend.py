@@ -14,10 +14,9 @@ draws they consume:
   next informative contact (or boundary / over-time tick), since the
   contacts in between cannot change any state.
 
-In the pooled global view the trials advance at different rates, so their
-buffers refill in a different order than a lockstep loop's and the shared
-stream reaches them in a different order: that mode is pinned in
-distribution only (and stays reproducible for a given seed).
+The tick loop refills each trial's buffers from the trial's own generator
+(a pooled run reaches it with streams spawned from the pooled generator),
+so when a trial refills never changes what it draws.
 """
 
 from __future__ import annotations
@@ -277,7 +276,6 @@ def async_tick_loop(state: "AsyncState") -> None:
     n = state.n
     chunk_size = state.chunk
     parts = state.parts
-    pooled_rng = state.pooled_rng
     trial_graphs = state.trial_graphs
     step_budget = state.step_budget
     time_budget = state.time_budget
@@ -316,7 +314,7 @@ def async_tick_loop(state: "AsyncState") -> None:
     buffer_lengths = state.buffer_lengths
     chunk_base = state.chunk_base
     now = state.now
-    local_gens = list(state.generators) if state.generators is not None else None
+    local_gens = list(state.generators)
 
     # Flat views of the per-trial buffers: the loop gathers through 1-D
     # np.take (and scatters through flat indices), which skips the 2-D
@@ -339,8 +337,7 @@ def async_tick_loop(state: "AsyncState") -> None:
         buffer_lengths = buffer_lengths[keep]
         chunk_base = chunk_base[keep]
         now = now[keep]
-        if local_gens is not None:
-            local_gens = [local_gens[i] for i in keep]
+        local_gens = [local_gens[i] for i in keep]
         alive = np.ones(ids.size, dtype=bool)
         retired = 0
         gaps_flat = gaps.reshape(-1)
@@ -392,9 +389,8 @@ def async_tick_loop(state: "AsyncState") -> None:
                     retired += 1
                     continue
                 chunk = min(chunk_size, remaining)
-                rng = pooled_rng if pooled_rng is not None else local_gens[l]
                 state.draw_chunk(
-                    rng, int(ids[l]), chunk, l,
+                    local_gens[l], int(ids[l]), chunk, l,
                     gaps, callers, nbr_uniforms, loss_uniforms,
                 )
                 buffer_lengths[l] = chunk
@@ -517,9 +513,8 @@ def async_tick_loop(state: "AsyncState") -> None:
                 crossing &= ~over
             if crossing.any():
                 for l, t in zip(rows[crossing], tick_time[crossing]):
-                    rng = pooled_rng if pooled_rng is not None else local_gens[l]
                     parts.cross_boundaries(
-                        int(ids[l]), t, rng, n, up, bad,
+                        int(ids[l]), t, local_gens[l], n, up, bad,
                         next_epoch, next_resample, trial_graphs,
                         state.informed,
                     )

@@ -103,10 +103,10 @@ flag):
 ``"numpy"``  vectorised reference        bit-identical (the historical
              kernels (always available)  engine behaviour)
 ``"jit"``    Numba ``@njit`` CSR loops   bit-identical in the per-trial RNG
-             (``pip install -e .[jit]``; modes and the chunked pooled clock
-             falls back to numpy with    views; KS-level (distribution-only)
-             one warning when numba is   for the pooled async global view;
-             missing)                    ``ppx``/``ppy`` have no jit kernel
+             (``pip install -e .[jit]``; modes and the pooled asynchronous
+             falls back to numpy with    kernel (every view);
+             one warning when numba is   ``ppx``/``ppy`` have no jit kernel
+             missing)
 ``"auto"``   ``jit`` when numba is       as the backend it resolves to
              importable, else ``numpy``
 ===========  ==========================  ===================================

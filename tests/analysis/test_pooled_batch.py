@@ -9,12 +9,15 @@ dispatch properties.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
 from helpers.equivalence import assert_same_distribution
 from repro.analysis.montecarlo import run_trials
+from repro.core import batch_engine
 from repro.core.batch_engine import run_batch
 from repro.core.kernels import jit_backend, numpy_backend
 from repro.errors import AnalysisError, ProtocolError
@@ -22,6 +25,8 @@ from repro.graphs import complete_graph, star_graph
 from repro.graphs.random_graphs import random_regular_graph
 from repro.randomness.rng import spawn_generators
 from repro.scenarios import (
+    AdaptiveCrash,
+    AdaptiveLoss,
     BurstLoss,
     Delay,
     DynamicGraph,
@@ -31,10 +36,8 @@ from repro.scenarios import (
 )
 
 
-#: Kernel backends for the pooled KS suites.  Pooled async draining is the
-#: one place the jit backend is KS-only rather than bit-identical (per-trial
-#: draining reorders the shared generator's stream), so these tests are its
-#: contract; the jit legs skip cleanly when numba is unavailable.
+#: Kernel backends for the pooled suites; the jit legs skip cleanly when
+#: numba is unavailable (and REPRO_JIT_PURE_PYTHON is unset).
 BACKENDS = [
     "numpy",
     pytest.param(
@@ -182,44 +185,14 @@ class TestPooledDistribution:
 
 
 class TestChunkedPooledClockViews:
-    """The PR-4 pooled-only fast path of ``run_clock_view_batch``.
+    """The one pooled asynchronous kernel behind every view.
 
-    With a pooled generator the kernel pre-draws ``(B, chunk)`` randomness
-    blocks and drops the next-tick table entirely (both clock views are the
-    same superposed Poisson process in distribution); ``pooled_chunk=0``
-    keeps the legacy unchunked pooled loop as the reference.
+    With a pooled generator the engine pre-draws ``(B, chunk)`` randomness
+    blocks and drops the next-tick table entirely (the three asynchronous
+    views are the same superposed Poisson process in distribution), so a
+    pooled run must agree in law with the per-trial kernels and in every
+    bit across views and backends.
     """
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("view", ["node_clocks", "edge_clocks"])
-    def test_chunked_matches_unchunked_pooled_distribution(self, view, backend):
-        graph = random_regular_graph(24, 4, seed=3)
-        trials = 300
-        chunked = run_batch(
-            graph,
-            0,
-            "pp-a",
-            trials=trials,
-            pooled_rng=np.random.default_rng(7),
-            view=view,
-            backend=backend,
-        )
-        unchunked = run_batch(
-            graph,
-            0,
-            "pp-a",
-            trials=trials,
-            pooled_rng=np.random.default_rng(8),
-            view=view,
-            pooled_chunk=0,
-            backend=backend,
-        )
-        assert_same_distribution(
-            chunked.spreading_times(),
-            unchunked.spreading_times(),
-            min_pvalue=0.01,
-            label=f"chunked vs unchunked pooled {view}",
-        )
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("view", ["node_clocks", "edge_clocks"])
@@ -264,10 +237,11 @@ class TestChunkedPooledClockViews:
         )
         assert np.array_equal(a.completion_time, b.completion_time)
         # A tiny chunk width forces many block refills; results stay valid.
-        tiny = run_batch(
-            graph, 0, "pp-a", trials=40, pooled_rng=np.random.default_rng(5),
-            view="node_clocks", pooled_chunk=7,
-        )
+        with mock.patch.object(batch_engine, "_POOLED_CLOCK_CHUNK", 7):
+            tiny = run_batch(
+                graph, 0, "pp-a", trials=40, pooled_rng=np.random.default_rng(5),
+                view="node_clocks",
+            )
         assert tiny.completed.all()
 
     def test_chunked_honors_step_and_time_budgets(self):
@@ -370,40 +344,63 @@ class TestChunkedPooledClockViews:
                 bad_b = bool(burst.step_state(bad_b, rng.random()))
             assert np.array_equal(up[b], up_b) and bad[b] == bad_b
 
-    def test_dynamic_scenario_routes_through_the_unchunked_pooled_loop(self):
-        """Dynamic graphs cannot use the pre-resolved callee blocks; the
-        pooled dispatcher must fall back to the next-tick-table loop and
-        still agree with the per-trial kernel in distribution."""
+    @pytest.mark.parametrize("view", ["global", "node_clocks"])
+    def test_dynamic_scenario_routes_through_spawned_streams(self, view):
+        """Dynamic graphs cannot use the pre-resolved callee blocks; a pooled
+        run must fall back to the per-trial tick loop on streams spawned
+        once from the pooled generator — exactly that run — and agree with
+        the per-trial kernel of its view in distribution."""
         scenario = DynamicGraph(FamilyResampler("erdos_renyi"), period=2)
         graph = complete_graph(16)
+        trials = 200
         pooled = run_batch(
-            graph, 0, "pp-a", trials=200,
-            pooled_rng=np.random.default_rng(3), view="node_clocks", scenario=scenario,
+            graph, 0, "pp-a", trials=trials,
+            pooled_rng=np.random.default_rng(3), view=view, scenario=scenario,
         )
+        spawned = run_batch(
+            graph, 0, "pp-a", rngs=spawn_generators(trials, np.random.default_rng(3)),
+            scenario=scenario,
+        )
+        assert np.array_equal(pooled.completion_time, spawned.completion_time)
+        assert np.array_equal(pooled.steps, spawned.steps)
         per_trial = run_batch(
-            graph, 0, "pp-a", trials=200, seed=5, view="node_clocks", scenario=scenario
+            graph, 0, "pp-a", trials=trials, seed=5, view=view, scenario=scenario
         )
         assert_same_distribution(
             pooled.spreading_times(),
             per_trial.spreading_times(),
             min_pvalue=0.01,
-            label="pooled dynamic fallback vs per-trial node_clocks",
+            label=f"pooled dynamic spawned streams vs per-trial {view}",
         )
 
-    def test_invalid_pooled_chunk_rejected(self):
-        graph = complete_graph(8)
-        with pytest.raises(ProtocolError):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            None,
+            MessageLoss(0.2),
+            AdaptiveLoss(p=0.8, budget=10),
+            Delay(low=0.5, high=2.0),
+            NodeChurn(0.1, 0.5),
+            AdaptiveCrash(budget=3, k=1),
+        ],
+        ids=["plain", "loss", "adaptive-loss", "delay", "churn", "adaptive-crash"],
+    )
+    def test_every_view_runs_the_one_pooled_kernel(self, scenario, backend):
+        """One pooled seed gives bit-identical outputs under all three
+        views: each routes to the same superposed-process kernel."""
+        graph = random_regular_graph(24, 4, seed=3)
+        runs = [
             run_batch(
-                graph, 0, "pp-a", trials=4, pooled_rng=np.random.default_rng(1),
-                view="node_clocks", pooled_chunk=-1,
+                graph, 0, "pp-a", trials=30, pooled_rng=np.random.default_rng(13),
+                view=view, scenario=scenario, backend=backend, max_steps=5000,
+                on_budget_exhausted="partial",
             )
-
-    def test_pooled_chunk_without_pooled_rng_rejected(self):
-        # The per-trial path is pinned to the serial draw order; silently
-        # ignoring pooled_chunk there would benchmark the wrong kernel.
-        graph = complete_graph(8)
-        with pytest.raises(ProtocolError):
-            run_batch(
-                graph, 0, "pp-a", trials=4, seed=1,
-                view="node_clocks", pooled_chunk=64,
-            )
+            for view in ("global", "node_clocks", "edge_clocks")
+        ]
+        reference = runs[0]
+        for run in runs[1:]:
+            assert np.array_equal(run.completion_time, reference.completion_time)
+            assert np.array_equal(run.steps, reference.steps)
+            assert np.array_equal(run.termination, reference.termination)
+            assert np.array_equal(run.informed_time, reference.informed_time)

@@ -18,7 +18,7 @@ import pytest
 from helpers.equivalence import KERNEL_CASES, assert_kernel_case, case_ids
 from repro.analysis.montecarlo import run_trials
 from repro.core import kernels
-from repro.core.batch_engine import is_batchable, run_clock_view_batch
+from repro.core.batch_engine import is_batchable, run_batch
 from repro.core.kernels import (
     KERNEL_BACKENDS,
     available_backends,
@@ -130,7 +130,7 @@ class TestPurePythonJit:
     def test_registry_cross_section_replays_serial(self, case):
         assert_kernel_case(case, backend="jit")
 
-    @pytest.mark.parametrize("view", ["node_clocks", "edge_clocks"])
+    @pytest.mark.parametrize("view", ["node_clocks", "edge_clocks", "global"])
     @pytest.mark.parametrize(
         "scenario",
         [
@@ -146,17 +146,17 @@ class TestPurePythonJit:
     def test_chunked_pooled_clock_view_is_bit_identical_across_backends(
         self, view, scenario
     ):
-        # The chunked pooled consumer pre-draws whole (B, chunk) blocks, so
-        # unlike the pooled global view the jit backend consumes the pooled
-        # stream in exactly the numpy order — same seed, same results.  The
-        # jit drain walks every column of every row, so (uncompiled here) it
-        # is an independent sequential check of the numpy consumer's
-        # skip-ahead scan; blocks with epochs (churn, adaptive crash) run
-        # the numpy consumer on both backends.
+        # The chunked pooled consumer, which every pooled view runs,
+        # pre-draws whole (B, chunk) blocks, so the jit backend consumes the
+        # pooled stream in exactly the numpy order — same seed, same
+        # results.  The jit drain walks every column of every row, so
+        # (uncompiled here) it is an independent sequential check of the
+        # numpy consumer's skip-ahead scan; blocks with epochs (churn,
+        # adaptive crash) run the numpy consumer on both backends.
         graph = random_regular_graph(24, 4, seed=3)
         results = {
-            backend: run_clock_view_batch(
-                graph, 0, view=view, trials=50,
+            backend: run_batch(
+                graph, 0, "pp-a", view=view, trials=50,
                 pooled_rng=np.random.default_rng(11), scenario=scenario,
                 backend=backend, max_steps=5000, on_budget_exhausted="partial",
             )

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-import networkx as nx
 import pytest
 
 from repro.errors import GraphError
 from repro.graphs import converters, cycle_graph, star_graph
+
+nx = pytest.importorskip("networkx")
 
 
 class TestFromNetworkx:

@@ -1,18 +1,20 @@
-"""Fixed-seed outcomes of the chunked pooled clock-view path, pinned to a reference tree.
+"""Fixed-seed outcomes of the chunked pooled asynchronous path, pinned to a reference tree.
 
-``run_clock_view_batch(pooled_rng=...)`` pre-draws each block of clock ticks
-from the pooled generator and hands it to the backend's
-``clock_chunk_consume``.  How that consumer walks the block (tick by tick,
-or skipping straight to each trial's next informative tick) must not change
-a single output wherever the block's randomness is all there is.  This
+``run_clock_view_batch(pooled_rng=...)``, like every pooled asynchronous
+run on a fixed graph, pre-draws each block of clock ticks from the pooled
+generator and hands it to the backend's ``clock_chunk_consume``.  How that
+consumer walks the block (tick by tick, or skipping straight to each
+trial's next informative tick) must not change a single output wherever the
+block's randomness is all there is.  This
 module records, for both clock views crossed with push, pull and push–pull
 and the scenarios whose crossings draw nothing (none, loss, adaptive loss,
 delay, adaptive crash, targeted churn), every per-trial output of the
 pooled path: completion flag and time, executed ticks, stop reason, and a
 SHA-256 digest of the raw float64 bytes of the ``(trials, n)`` informing
 time matrix.  A few extra cells pin, under each view, a ``max_time`` cut, a
-``max_steps`` exhaustion, a small ``pooled_chunk`` (many block refills) and
-leaf-source star cells, where nearly every tick informs.
+``max_steps`` exhaustion, a small block width (``_POOLED_CLOCK_CHUNK``
+patched to 7: many block refills) and leaf-source star cells, where nearly
+every tick informs.
 
 Churn and burst-loss cells are deliberately *not* pinned: their epoch
 crossings draw from per-trial streams spawned off the pooled generator, so
@@ -34,9 +36,11 @@ import json
 import sys
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Optional
+from unittest import mock
 
 import numpy as np
 
+from repro.core import batch_engine
 from repro.core.batch_engine import run_clock_view_batch
 from repro.graphs import star_graph
 from repro.graphs.random_graphs import random_regular_graph
@@ -75,6 +79,8 @@ class GoldenCell(NamedTuple):
         ("max_steps", 20000),
         ("on_budget_exhausted", "partial"),
     )
+    #: The block width the cell runs with (``None``: the default).
+    chunk: Optional[int] = None
 
 
 def _rr48() -> object:
@@ -123,7 +129,7 @@ def _extras() -> list[GoldenCell]:
             ),
             GoldenCell(
                 f"{view}-chunk-7", _rr48, SOURCE, "push-pull", view, 420 + offset,
-                AdaptiveLoss(p=0.8, budget=6), (("pooled_chunk", 7),),
+                AdaptiveLoss(p=0.8, budget=6), (), chunk=7,
             ),
             # A leaf source on a star: nearly every tick informs.
             GoldenCell(
@@ -147,11 +153,13 @@ def record_cell(cell: GoldenCell, backend: Optional[str] = None) -> dict:
     options = dict(cell.options)
     if backend is not None:
         options["backend"] = backend
-    batch = run_clock_view_batch(
-        cell.graph_builder(), cell.source, mode=cell.mode, view=cell.view,
-        trials=TRIALS, pooled_rng=np.random.default_rng(cell.seed),
-        scenario=cell.scenario, **options,
-    )
+    chunk = batch_engine._POOLED_CLOCK_CHUNK if cell.chunk is None else cell.chunk
+    with mock.patch.object(batch_engine, "_POOLED_CLOCK_CHUNK", chunk):
+        batch = run_clock_view_batch(
+            cell.graph_builder(), cell.source, mode=cell.mode, view=cell.view,
+            trials=TRIALS, pooled_rng=np.random.default_rng(cell.seed),
+            scenario=cell.scenario, **options,
+        )
     informed = np.ascontiguousarray(batch.informed_time, dtype="<f8")
     return {
         "completed": batch.completed.tolist(),

@@ -8,6 +8,10 @@ in a fresh interpreter.
 from __future__ import annotations
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +42,23 @@ def test_top_level_convenience_api():
     assert callable(repro.spread)
     assert isinstance(repro.__version__, str)
     assert "pp" in repro.available_protocols()
+
+
+def test_import_without_networkx():
+    """networkx is optional (no install extra pulls it in): the package and
+    its CLI must import with it blocked."""
+    import repro
+
+    code = "import sys\nsys.modules['networkx'] = None\nimport repro, repro.cli\n"
+    src = Path(repro.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_experiments_lazy_registry_attributes():
